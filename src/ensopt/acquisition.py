@@ -45,12 +45,16 @@ def expected_improvement(mean: float, variance: float, best: float) -> float:
 
 
 def _ei_batch(means: np.ndarray, variances: np.ndarray, best: float) -> np.ndarray:
-    if np.any(variances < VARIANCE_FLOOR):
+    if (variances < VARIANCE_FLOOR).any():
         raise ValueError("negative predictive variance")
     sigma = np.sqrt(np.maximum(variances, 0.0))
     gap = best - means
-    out = np.maximum(gap, 0.0)
     pos = sigma > 0.0
+    if pos.all():
+        z = gap / sigma
+        out = gap * ndtr(z) + sigma * INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        return np.maximum(out, 0.0)
+    out = np.maximum(gap, 0.0)
     if np.any(pos):
         z = gap[pos] / sigma[pos]
         out[pos] = gap[pos] * ndtr(z) + sigma[pos] * INV_SQRT_2PI * np.exp(-0.5 * z * z)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import artifact as artifact_io
 from .data import DataError, load_csv, make_split, merge_with_test
-from .ensemble import Ensemble, zero_one_ensemble_loss
-from .hyperspace import SearchSpace, load_space
+from .ensemble import zero_one_ensemble_loss
+from .hyperspace import load_space
 from .learners import ALGORITHMS, default_space
 from .optimizer import (
     CrossValEvaluator,
@@ -50,6 +50,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+# effort knobs a config may set, with the smallest value each accepts
+GP_KNOBS = {"burn_in": 0, "gp_samples": 1, "thin": 1}
+ACQUISITION_KNOBS = {"candidates": 1, "refinements": 0}
 
 
 class UsageError(Exception):
@@ -111,13 +115,23 @@ class RunConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise UsageError(f"config field 'method' must be one of {METHODS}")
-        if self.budget < 1:
-            raise UsageError("config field 'budget' must be positive")
-        if not 1 <= self.init <= self.budget:
+        _check_int("budget", self.budget, 1)
+        _check_int("seed", self.seed, 0)
+        _check_int("init", self.init, 1)
+        if self.init > self.budget:
             raise UsageError("config field 'init' must satisfy 1 <= init <= budget")
-        if self.folds < 2:
-            raise UsageError("config field 'folds' must be at least 2")
-        if not 0.0 < self.test_fraction < 1.0:
+        _check_int("folds", self.folds, 2)
+        _check_int("ensemble_size", self.ensemble_size, 1)
+        # every method also builds the post-hoc ensemble over its history
+        _check_int("post_size", self.post_size, 1)
+        _check_int("warm_k", self.warm_k, 0)
+        if self.warm_k > min(self.post_size, self.budget):
+            raise UsageError("config field 'warm_k' must lie in [0, min(post_size, budget)]")
+        if (
+            isinstance(self.test_fraction, bool)
+            or not isinstance(self.test_fraction, (int, float))
+            or not 0.0 < self.test_fraction < 1.0
+        ):
             raise UsageError("config field 'test_fraction' must lie in (0, 1)")
         for a in self.algorithms:
             if a not in ALGORITHMS:
@@ -127,30 +141,25 @@ class RunConfig:
                 "config field 'algorithms': 'gnb' alone leaves nothing to tune; "
                 "add another algorithm or provide a space file"
             )
-        if self.method in ("eo", "eo-post") and self.ensemble_size < 1:
-            raise UsageError("config field 'ensemble_size' must be positive")
-        if self.method in ("bo-post", "eo-post"):
-            if self.post_size < 1:
-                raise UsageError("config field 'post_size' must be positive")
-            if not 0 <= self.warm_k <= self.post_size:
-                raise UsageError("config field 'warm_k' must lie in [0, post_size]")
         if self.loss not in ("zero_one", "margin", "squared_margin"):
             raise UsageError("config field 'loss' must name a known loss")
+        for group, knobs in (("gp", GP_KNOBS), ("acquisition", ACQUISITION_KNOBS)):
+            values = getattr(self, group)
+            if not isinstance(values, dict) or set(values) - set(knobs):
+                raise UsageError(f"config field {group!r} accepts only {sorted(knobs)}")
+            for name, value in values.items():
+                _check_int(f"{group}.{name}", value, knobs[name])
+
+
+def _check_int(name: str, value: Any, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"config field {name!r} must be an integer, got {value!r}")
+    if value < minimum:
+        raise UsageError(f"config field {name!r} must be at least {minimum}")
 
 
 def _settings(config: RunConfig) -> SearchSettings:
-    settings = SearchSettings()
-    gp_known = {"burn_in", "gp_samples", "thin"}
-    acq_known = {"candidates", "refinements"}
-    if set(config.gp) - gp_known:
-        raise UsageError(f"config field 'gp' accepts only {sorted(gp_known)}")
-    if set(config.acquisition) - acq_known:
-        raise UsageError(f"config field 'acquisition' accepts only {sorted(acq_known)}")
-    for name, value in config.gp.items():
-        setattr(settings, name, int(value))
-    for name, value in config.acquisition.items():
-        setattr(settings, name, int(value))
-    return settings
+    return SearchSettings(**config.gp, **config.acquisition)
 
 
 def execute_run(config: RunConfig) -> dict[str, Any]:
@@ -372,15 +381,18 @@ def _parse_seeds(text: str) -> list[int]:
             raise UsageError(f"cannot parse seed range {text!r}") from None
         if stop < start:
             raise UsageError("seed range end must be >= start")
-        return list(range(start, stop + 1))
-    try:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise UsageError(f"cannot parse seed list {text!r}") from None
+        seeds = list(range(start, stop + 1))
+    else:
+        try:
+            seeds = [int(s) for s in text.split(",") if s.strip()]
+        except ValueError:
+            raise UsageError(f"cannot parse seed list {text!r}") from None
     if not seeds:
         raise UsageError("no seeds given")
     if len(set(seeds)) != len(seeds):
         raise UsageError("duplicate seeds")
+    if min(seeds) < 0:
+        raise UsageError("seeds must be non-negative")
     return seeds
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -133,18 +132,18 @@ def _largest_remainder(counts: np.ndarray, total: int, fraction: float) -> np.nd
 def make_split(
     data: Dataset,
     test_fraction: float,
-    k: int,
+    folds: int,
     seed: int,
     fixed_test: np.ndarray | None = None,
 ) -> SplitPlan:
-    """Build a stratified test split plus stratified k-fold CV of the rest.
+    """Build a stratified test split plus stratified ``folds``-fold CV of the rest.
 
     The test set holds ``floor(n * test_fraction)`` samples with per-label
     counts within one of proportionality; folds partition the remaining
     indices, stratified the same way.  ``fixed_test`` pins the test indices
     instead of sampling them (used when a separate test file is supplied).
     """
-    if k < 2:
+    if folds < 2:
         raise DataError("at least 2 folds are required")
     n = data.n_samples
     rng = np.random.default_rng(seed)
@@ -166,20 +165,23 @@ def make_split(
     mask = np.ones(n, dtype=bool)
     mask[test] = False
     rest = np.flatnonzero(mask)
-    fold_lists: list[list[int]] = [[] for _ in range(k)]
+    fold_lists: list[list[int]] = [[] for _ in range(folds)]
     for c in range(data.n_labels):
         idx = rest[data.labels[rest] == c]
-        if idx.size < k:
+        if idx.size < folds:
             warnings.warn(
                 f"label {data.label_names[c]!r} has {idx.size} non-test samples "
-                f"for {k} folds; folds will miss it",
+                f"for {folds} folds; folds will miss it",
                 stacklevel=2,
             )
         perm = rng.permutation(idx)
         for pos, sample_idx in enumerate(perm):
-            fold_lists[(pos + c) % k].append(int(sample_idx))
-    folds = tuple(np.array(sorted(f), dtype=np.int64) for f in fold_lists)
-    return SplitPlan(test=test, folds=folds, seed=seed)
+            fold_lists[(pos + c) % folds].append(int(sample_idx))
+    return SplitPlan(
+        test=test,
+        folds=tuple(np.array(sorted(f), dtype=np.int64) for f in fold_lists),
+        seed=seed,
+    )
 
 
 def cross_val_predictions(

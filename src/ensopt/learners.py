@@ -8,7 +8,7 @@ subset yields a constant model flagged as degenerate instead of an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np

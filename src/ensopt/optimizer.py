@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .ensemble import (
 from .hyperspace import Config, SearchSpace, decode, sample
 from .learners import Dataset
 from .surrogate import (
-    GpHyperparams,
     HyperPriors,
     ObservationSet,
     fit,

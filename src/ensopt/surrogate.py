@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 SQRT5 = math.sqrt(5.0)
 LOG_2PI = math.log(2.0 * math.pi)
+HALF_LOG_2PI = 0.5 * LOG_2PI
 
 # Jitter added to the covariance diagonal, as a fraction of the amplitude.
 # Escalates by x10 on factorization failure up to the maximum.
@@ -64,7 +65,7 @@ class LogNormalPrior:
         if not math.log(self.low) <= log_x <= math.log(self.high):
             return -math.inf
         z = (log_x - math.log(self.median)) / self.log_sd
-        return -0.5 * z * z - math.log(self.log_sd) - 0.5 * LOG_2PI
+        return -0.5 * z * z - math.log(self.log_sd) - HALF_LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,9 @@ class ObservationSet:
 
     Targets are shifted to zero mean and scaled to unit variance.  When the
     raw targets are (numerically) constant they are only centred and the set
-    is flagged, so later de-standardization stays finite.
+    is flagged, so later de-standardization stays finite.  Inputs and targets
+    must be finite: this is where data enters the GP, and the factorizations
+    downstream do not check again.
     """
 
     def __init__(self, inputs: np.ndarray, targets: Sequence[float] | np.ndarray):
@@ -91,6 +94,8 @@ class ObservationSet:
             raise ValueError("targets must match the number of input rows")
         if X.shape[0] == 0:
             raise ValueError("observation set must be non-empty")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise ValueError("inputs and targets must be finite")
         self.inputs = X
         self.raw_targets = y
         self.mean = float(np.mean(y))
@@ -122,12 +127,12 @@ def matern52(x1: np.ndarray, x2: np.ndarray, hypers: GpHyperparams) -> float:
 
 def _scaled_sqdists(X1: np.ndarray, X2: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     A = X1 / lengthscales
-    B = X2 / lengthscales
-    d2 = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    return _sqdists(A, (A * A).sum(axis=1)[:, None], X2 / lengthscales)
+
+
+def _sqdists(A: np.ndarray, A_sqnorms: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of A and B, given A's column of row norms."""
+    d2 = A_sqnorms + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
     return np.maximum(d2, 0.0)
 
 
@@ -143,20 +148,35 @@ def kernel_matrix(X1: np.ndarray, X2: np.ndarray, hypers: GpHyperparams) -> np.n
     )
 
 
-def _factorize(K: np.ndarray, hypers: GpHyperparams) -> tuple[np.ndarray, float]:
+def _factorize(K: np.ndarray, amplitude: float, noise: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``K + (noise + jitter * amplitude) I``, and the jitter.
+
+    The jitter starts at ``JITTER_START`` and grows x10 on each failure up to
+    ``JITTER_MAX``.  The shift is written into ``K``'s diagonal in place, so
+    ``K`` must be a C-contiguous array the caller owns.
+    """
     t = K.shape[0]
+    diag = K.reshape(-1)[:: t + 1]
+    base = diag.copy()
     jitter = JITTER_START
     while True:
-        shifted = K + (hypers.noise + jitter * hypers.amplitude) * np.eye(t)
+        np.add(base, noise + jitter * amplitude, out=diag)
         try:
-            L = np.linalg.cholesky(shifted)
-            return L, jitter
+            return np.linalg.cholesky(K), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if jitter > JITTER_MAX * (1.0 + 1e-12):
                 raise NumericalError(
                     "covariance matrix is not positive definite at maximum jitter"
                 ) from None
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L L^T x = b``: the LAPACK call ``scipy.linalg.cho_solve`` makes."""
+    x, info = dpotrs(L, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
 
 
 class GpState:
@@ -168,8 +188,17 @@ class GpState:
         self.obs = obs
         self.hypers = hypers
         K = kernel_matrix(obs.inputs, obs.inputs, hypers)
-        self.chol, self.jitter = _factorize(K, hypers)
-        self.alpha = cho_solve((self.chol, True), obs.targets)
+        self.chol, self.jitter = _factorize(K, hypers.amplitude, hypers.noise)
+        self.alpha = _cho_solve(self.chol, obs.targets)
+        # query-independent halves of the kernel and of the triangular solve
+        self._scaled = obs.inputs / hypers.lengthscales
+        self._sqnorms = (self._scaled * self._scaled).sum(axis=1)[:, None]
+        # the LAPACK call scipy.linalg.solve_triangular(chol, b, lower=True)
+        # makes: the transposed factor when the factor is not Fortran-ordered
+        if self.chol.flags.f_contiguous:
+            self._tri = (self.chol, 1, 0)
+        else:
+            self._tri = (self.chol.T, 0, 1)
 
     def predict(self, x: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at one point, in raw target units."""
@@ -180,11 +209,15 @@ class GpState:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.obs.dimension:
             raise ValueError("query points must match the observation dimension")
-        k_star = kernel_matrix(self.obs.inputs, X, self.hypers)
+        amplitude = self.hypers.amplitude
+        r2 = _sqdists(self._scaled, self._sqnorms, X / self.hypers.lengthscales)
+        k_star = _kernel_from_sqdists(r2, amplitude)
         mean_std = k_star.T @ self.alpha
-        v = solve_triangular(self.chol, k_star, lower=True)
-        var_std = self.hypers.amplitude - np.sum(v * v, axis=0)
-        var_std = np.maximum(var_std, 0.0)
+        tri, lower, trans = self._tri
+        v, info = dtrtrs(tri, k_star, lower=lower, trans=trans)
+        if info != 0:
+            raise NumericalError(f"triangular solve failed (info {info})")
+        var_std = np.maximum(amplitude - (v * v).sum(axis=0), 0.0)
         mean = mean_std * self.obs.scale + self.obs.mean
         var = var_std * self.obs.scale**2
         return mean, var
@@ -196,16 +229,13 @@ def fit(obs: ObservationSet, hypers: GpHyperparams) -> GpState:
 
 
 def log_marginal_likelihood(obs: ObservationSet, hypers: GpHyperparams) -> float:
-    """Marginal log likelihood of the standardized targets under ``hypers``."""
-    state = GpState(obs, hypers)
-    return _lml_from_factors(state.chol, state.alpha, obs.targets)
+    """Marginal log likelihood of the standardized targets under ``hypers``.
 
-
-def _lml_from_factors(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
-    t = y.shape[0]
-    return float(
-        -0.5 * (y @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * t * LOG_2PI
-    )
+    Raises ``NumericalError`` when the covariance cannot be factorized.
+    """
+    if hypers.lengthscales.shape != (obs.dimension,):
+        raise ValueError("one lengthscale per input dimension is required")
+    return _LmlCache(obs)(hypers.amplitude, hypers.lengthscales, hypers.noise)
 
 
 class _LmlCache:
@@ -217,29 +247,50 @@ class _LmlCache:
     """
 
     def __init__(self, obs: ObservationSet):
-        self.obs = obs
         X = obs.inputs
         diffs = X[:, None, :] - X[None, :, :]
         self.sq = diffs * diffs  # (t, t, d)
-        self.eye = np.eye(obs.size)
+        self.y = obs.targets
 
-    def __call__(self, hypers: GpHyperparams) -> float:
-        inv = 1.0 / (hypers.lengthscales**2)
-        r2 = self.sq @ inv
-        K = _kernel_from_sqdists(np.maximum(r2, 0.0), hypers.amplitude)
-        jitter = JITTER_START
-        while True:
-            shifted = K + (hypers.noise + jitter * hypers.amplitude) * self.eye
-            try:
-                L = np.linalg.cholesky(shifted)
-                break
-            except np.linalg.LinAlgError:
-                jitter *= 10.0
-                if jitter > JITTER_MAX * (1.0 + 1e-12):
-                    raise NumericalError("covariance not positive definite") from None
-        y = self.obs.targets
-        alpha = cho_solve((L, True), y)
-        return _lml_from_factors(L, alpha, y)
+    def __call__(self, amplitude: float, lengthscales: np.ndarray, noise: float) -> float:
+        y = self.y
+        K = _kernel_from_sqdists(self.sq @ (1.0 / lengthscales**2), amplitude)
+        L, _ = _factorize(K, amplitude, noise)
+        alpha = _cho_solve(L, y)
+        return float(
+            -0.5 * (y @ alpha) - np.log(L.diagonal()).sum() - 0.5 * y.shape[0] * LOG_2PI
+        )
+
+
+def _log_posterior(obs: ObservationSet, priors: HyperPriors):
+    """Log posterior density of theta = log(amplitude, lengthscales..., noise).
+
+    The prior terms are summed left to right in theta's order, then the
+    marginal likelihood is added.  Points outside a prior's support, and
+    points whose covariance cannot be factorized, get ``-inf``.
+    """
+    d = obs.dimension
+    lml = _LmlCache(obs)
+    coord_priors = [priors.amplitude] + [priors.lengthscale] * d + [priors.noise]
+    terms = [
+        (math.log(p.low), math.log(p.high), math.log(p.median), p.log_sd, math.log(p.log_sd))
+        for p in coord_priors
+    ]
+
+    def log_target(theta: np.ndarray) -> float:
+        prior = 0.0
+        for value, (low, high, mu, sd, log_sd) in zip(theta.tolist(), terms):
+            if not low <= value <= high:
+                return -math.inf
+            z = (value - mu) / sd
+            prior += -0.5 * z * z - log_sd - HALF_LOG_2PI
+        vals = np.exp(theta)
+        try:
+            return lml(float(vals[0]), vals[1 : 1 + d], float(vals[1 + d])) + prior
+        except NumericalError:
+            return -math.inf
+
+    return log_target
 
 
 def _slice_axis(
@@ -317,22 +368,7 @@ def slice_sample_hypers(
     if count < 1:
         raise ValueError("count must be at least 1")
     d = obs.dimension
-    lml = _LmlCache(obs)
-    coord_priors = [priors.amplitude] + [priors.lengthscale] * d + [priors.noise]
-
-    def log_target(theta: np.ndarray) -> float:
-        prior = 0.0
-        for value, p in zip(theta, coord_priors):
-            lp = p.log_pdf_at_log(float(value))
-            if not math.isfinite(lp):
-                return -math.inf
-            prior += lp
-        hypers = _theta_to_hypers(theta, d)
-        try:
-            return lml(hypers) + prior
-        except NumericalError:
-            return -math.inf
-
+    log_target = _log_posterior(obs, priors)
     theta = np.log(
         np.array(
             [priors.amplitude.median]

@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from ensopt.acquisition import AcquisitionContext, expected_improvement, next_point
+from ensopt.acquisition import (
+    INV_SQRT_2PI,
+    AcquisitionContext,
+    _ei_batch,
+    expected_improvement,
+    next_point,
+)
 from ensopt.hyperspace import ParamSpec, SearchSpace
 from ensopt.surrogate import GpHyperparams, ObservationSet, fit
 
@@ -52,6 +59,25 @@ class TestExpectedImprovement:
             expected_improvement(0.0, -1e-3, 0.0)
         # tolerated rounding error clamps to zero variance
         assert expected_improvement(0.0, -1e-11, 1.0) == pytest.approx(1.0)
+
+    def test_batch_equals_masked_formula_bitwise(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 5, 1000):
+            means = rng.normal(size=n)
+            positive = rng.random(n) + 1e-12
+            some_zero = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+            for variances in (positive, some_zero):
+                sigma = np.sqrt(np.maximum(variances, 0.0))
+                gap = 0.1 - means
+                expected = np.maximum(gap, 0.0)
+                pos = sigma > 0.0
+                z = gap[pos] / sigma[pos]
+                expected[pos] = (
+                    gap[pos] * ndtr(z) + sigma[pos] * INV_SQRT_2PI * np.exp(-0.5 * z * z)
+                )
+                np.testing.assert_array_equal(
+                    _ei_batch(means, variances, 0.1), np.maximum(expected, 0.0)
+                )
 
 
 def make_states(rng, n_states=2, t=6):

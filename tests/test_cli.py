@@ -152,6 +152,43 @@ class TestRunCommand:
             assert cli.main(["run", "--config", cfg]) == 1, overrides
             assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"gp": {"gp_samples": 0}}, "gp.gp_samples"),
+            ({"gp": {"thin": 0}}, "gp.thin"),
+            ({"gp": {"burn_in": -1}}, "gp.burn_in"),
+            ({"gp": {"gp_samples": 2.5}}, "gp.gp_samples"),
+            ({"gp": {"thin": "2"}}, "gp.thin"),
+            ({"gp": 5}, "gp"),
+            ({"acquisition": {"candidates": 0}}, "acquisition.candidates"),
+            ({"acquisition": {"refinements": -1}}, "acquisition.refinements"),
+            ({"acquisition": {"candidates": True}}, "acquisition.candidates"),
+            ({"budget": "8"}, "budget"),
+            ({"budget": True}, "budget"),
+            ({"init": 2.0}, "init"),
+            ({"seed": "1"}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"ensemble_size": 1.5}, "ensemble_size"),
+            ({"folds": 3.0}, "folds"),
+            ({"post_size": 0}, "post_size"),
+            ({"warm_k": 6}, "warm_k"),
+            ({"test_fraction": "0.3"}, "test_fraction"),
+        ],
+    )
+    def test_bad_field_fails_before_training(self, tmp_path, capsys, monkeypatch, overrides, field):
+        cfg, doc = base_config(tmp_path, **{"method": "eo", "budget": 5, "init": 2, **overrides})
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("the config must be rejected before the data loads")
+
+        monkeypatch.setattr(cli, "load_csv", no_data)
+        assert cli.main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(doc["output_dir"])
+
     def test_required_fields_enforced(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"method": "bo-best"}), encoding="utf-8")
@@ -296,7 +333,7 @@ class TestSeedParsing:
         assert cli._parse_seeds("2,5,9") == [2, 5, 9]
 
     def test_invalid_inputs(self):
-        for text in ("4..2", "a..b", "", "3,3", "1,two"):
+        for text in ("4..2", "a..b", "", "3,3", "1,two", "-2..1", "3,-1"):
             with pytest.raises(cli.UsageError):
                 cli._parse_seeds(text)
 

@@ -2,12 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
 
 from ensopt.surrogate import (
+    JITTER_MAX,
+    JITTER_START,
+    LOG_2PI,
     GpHyperparams,
     HyperPriors,
     LogNormalPrior,
+    NumericalError,
     ObservationSet,
+    _factorize,
+    _kernel_from_sqdists,
+    _log_posterior,
+    _theta_to_hypers,
     fit,
     kernel_matrix,
     log_marginal_likelihood,
@@ -126,6 +135,15 @@ class TestObservationSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ObservationSet(np.zeros((0, 2)), [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_or_targets_rejected(self, bad):
+        X = np.zeros((3, 2))
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(X, [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(np.zeros((3, 2)), [0.1, bad, 0.3])
 
 
 class TestFitPredict:
@@ -296,3 +314,146 @@ class TestSliceSampling:
             state = fit(obs, s)  # raises NumericalError on failure
             eigs = np.linalg.eigvalsh(state.chol @ state.chol.T)
             assert eigs.min() > -1e-10
+
+
+def reference_factor(K, amplitude, noise):
+    """The jitter loop written out with ``K + shift * I``."""
+    jitter = JITTER_START
+    while True:
+        try:
+            shifted = K + (noise + jitter * amplitude) * np.eye(K.shape[0])
+            return np.linalg.cholesky(shifted), jitter
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+            assert jitter <= JITTER_MAX * (1.0 + 1e-12)
+
+
+def reference_lml(X, y, amplitude, lengthscales, noise):
+    """Pairwise-difference marginal likelihood through scipy's checked solver."""
+    diffs = X[:, None, :] - X[None, :, :]
+    K = _kernel_from_sqdists((diffs * diffs) @ (1.0 / lengthscales**2), amplitude)
+    L, _ = reference_factor(K, amplitude, noise)
+    alpha = cho_solve((L, True), y)
+    return float(
+        -0.5 * (y @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * y.shape[0] * LOG_2PI
+    )
+
+
+def reference_log_prior(theta, priors, d):
+    coord = [priors.amplitude] + [priors.lengthscale] * d + [priors.noise]
+    total = 0.0
+    for value, p in zip(theta, coord):
+        total += p.log_pdf_at_log(float(value))
+    return total
+
+
+def fast_path_sets(rng):
+    # six dimensions give eight prior terms, where a pairwise sum would no
+    # longer match the sequential one
+    X = rng.random((9, 6))
+    dup = np.vstack([X[:5], X[:3], X[1:2]])  # rows repeated exactly
+    grid = np.round(rng.random((12, 2)), 1)  # coarse grid: many ties
+    return [X, dup, grid]
+
+
+class TestFastPaths:
+    """The slice sampler and GpState fast paths match plain references bit for bit."""
+
+    def test_sampler_target_equals_likelihood_plus_sequential_prior(self):
+        rng = np.random.default_rng(31)
+        priors = HyperPriors()
+        draws = 0
+        for X in fast_path_sets(rng):
+            obs = ObservationSet(X, rng.normal(size=X.shape[0]))
+            d = obs.dimension
+            target = _log_posterior(obs, priors)
+            for _ in range(34):
+                theta = np.concatenate(
+                    [
+                        rng.uniform(math.log(1e-2), math.log(1e2), 1),
+                        rng.uniform(math.log(1e-3), math.log(1e2), d),
+                        rng.uniform(math.log(1e-6), math.log(1e-1), 1),
+                    ]
+                )
+                h = _theta_to_hypers(theta, d)
+                lml = log_marginal_likelihood(obs, h)
+                assert lml == reference_lml(
+                    obs.inputs, obs.targets, h.amplitude, h.lengthscales, h.noise
+                )
+                assert target(theta) == lml + reference_log_prior(theta, priors, d)
+                draws += 1
+        assert draws >= 100
+
+    def test_escalated_jitter_matches_reference(self):
+        rng = np.random.default_rng(37)
+        X = fast_path_sets(rng)[1]
+        obs = ObservationSet(X, rng.normal(size=X.shape[0]))
+        ls = np.array([0.4, 0.3, 0.5, 0.6, 0.2, 0.7])
+        diffs = X[:, None, :] - X[None, :, :]
+        K = _kernel_from_sqdists((diffs * diffs) @ (1.0 / ls**2), 1.3)
+        # a negative shift makes the repeated rows indefinite until the
+        # jitter has grown past it
+        noise = -2e-6
+        L, jitter = _factorize(K.copy(), 1.3, noise)
+        L_ref, jitter_ref = reference_factor(K, 1.3, noise)
+        assert jitter == jitter_ref > 1e-6
+        np.testing.assert_array_equal(L, L_ref)
+
+    def test_factorize_raises_past_max_jitter(self):
+        K = np.ones((4, 4)) - 2.0 * JITTER_MAX * np.eye(4)
+        with pytest.raises(NumericalError):
+            _factorize(K, 1.0, 0.0)
+        # just inside the limit the same matrix factorizes
+        _, jitter = _factorize(np.ones((4, 4)) - 0.5 * JITTER_MAX * np.eye(4), 1.0, 0.0)
+        assert jitter == pytest.approx(JITTER_MAX)
+
+    def test_predict_batch_equals_solve_triangular_reference(self):
+        rng = np.random.default_rng(41)
+        sets = fast_path_sets(rng) + [rng.random((1, 2))]
+        for X in sets:
+            obs = ObservationSet(X, rng.normal(size=X.shape[0]))
+            d = obs.dimension
+            for _ in range(5):
+                h = GpHyperparams(
+                    float(rng.uniform(0.2, 3.0)),
+                    rng.uniform(0.05, 2.0, d),
+                    float(rng.uniform(1e-6, 0.1)),
+                )
+                state = fit(obs, h)
+                K = kernel_matrix(X, X, h)
+                L, jitter = reference_factor(K, h.amplitude, h.noise)
+                assert jitter == state.jitter
+                np.testing.assert_array_equal(state.chol, L)
+                alpha = cho_solve((L, True), obs.targets)
+                for n in (1, 7, 300):
+                    Q = rng.random((n, d))
+                    k_star = kernel_matrix(X, Q, h)
+                    v = solve_triangular(L, k_star, lower=True)
+                    var = np.maximum(h.amplitude - np.sum(v * v, axis=0), 0.0) * obs.scale**2
+                    mean = (k_star.T @ alpha) * obs.scale + obs.mean
+                    got_mean, got_var = state.predict_batch(Q)
+                    np.testing.assert_array_equal(got_mean, mean)
+                    np.testing.assert_array_equal(got_var, var)
+
+    def test_prior_support_is_closed(self):
+        priors = HyperPriors(
+            amplitude=LogNormalPrior(1.0, 1.0, 1e-2, 1e2),
+            lengthscale=LogNormalPrior(0.25, 1.0, 1e-3, 1e1),
+            noise=LogNormalPrior(0.01, 1.0, 1e-5, 1e0),
+        )
+        rng = np.random.default_rng(43)
+        obs = ObservationSet(rng.random((6, 2)), rng.normal(size=6))
+        target = _log_posterior(obs, priors)
+        centre = np.log([1.0, 0.25, 0.25, 0.01])
+        coord = [priors.amplitude, priors.lengthscale, priors.lengthscale, priors.noise]
+        for axis, p in enumerate(coord):
+            for bound, outward in ((p.low, -math.inf), (p.high, math.inf)):
+                edge = math.log(bound)
+                beyond = math.nextafter(edge, outward)
+                assert math.isfinite(p.log_pdf_at_log(edge))
+                assert p.log_pdf_at_log(beyond) == -math.inf
+                theta = centre.copy()
+                theta[axis] = edge
+                assert math.isfinite(target(theta))
+                theta[axis] = beyond
+                assert target(theta) == -math.inf
