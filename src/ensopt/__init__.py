@@ -3,10 +3,9 @@
 from .ensemble import (
     Ensemble,
     PredictionMatrix,
+    VoteState,
     eval_with_candidate,
     greedy_select,
-    majority_vote,
-    margin,
     margin_loss,
     observation_vector,
     round_robin_replace,
@@ -36,14 +35,13 @@ __all__ = [
     "RunArtifact",
     "SearchSettings",
     "SearchSpace",
+    "VoteState",
     "decode",
     "encode",
     "eval_with_candidate",
     "evaluate_on_test",
     "greedy_select",
     "load_space",
-    "majority_vote",
-    "margin",
     "margin_loss",
     "observation_vector",
     "post_hoc",

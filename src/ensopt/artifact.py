@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any
@@ -30,18 +31,22 @@ TEST_LABELS_FILE = "labels_test.csv"
 
 def _write_int_rows(path: str, rows: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(rows):
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in np.atleast_2d(rows).tolist())
 
 
 def _read_int_rows(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([int(v) for v in line.split(",")])
-    return np.array(rows, dtype=np.int64)
+    """Comma-separated integer rows as a 2-d array; ``ValueError`` if ragged or non-integer."""
+    with warnings.catch_warnings():
+        # an empty file reads as zero rows; callers that need rows check the shape
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
+
+
+def _read_label_row(path: str) -> np.ndarray:
+    rows = _read_int_rows(path)
+    if rows.shape[0] != 1:
+        raise ValueError(f"{path}: expected one row of labels")
+    return rows[0]
 
 
 def space_digest(space_doc: dict[str, Any]) -> str:
@@ -115,8 +120,8 @@ def load_artifact(directory: str) -> LoadedRun:
         configs = json.load(fh)
     val_rows = _read_int_rows(os.path.join(directory, VAL_PREDICTIONS_FILE))
     test_rows = _read_int_rows(os.path.join(directory, TEST_PREDICTIONS_FILE))
-    labels_val = _read_int_rows(os.path.join(directory, VAL_LABELS_FILE))[0]
-    labels_test = _read_int_rows(os.path.join(directory, TEST_LABELS_FILE))[0]
+    labels_val = _read_label_row(os.path.join(directory, VAL_LABELS_FILE))
+    labels_test = _read_label_row(os.path.join(directory, TEST_LABELS_FILE))
     if val_rows.shape[0] != len(configs) or test_rows.shape[0] != len(configs):
         raise ValueError(f"{directory}: prediction rows do not match configs.json")
     history = History(labels_val, labels_test, int(run["n_labels"]))

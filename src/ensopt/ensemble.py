@@ -3,6 +3,12 @@
 Every trained model contributes one row of predictions per evaluation split.
 Ensembles are multisets of row ids (a model may occupy several slots), combined
 by unweighted majority vote with ties resolved toward the smallest label.
+
+The loss functions score one member list from scratch.  The observation
+vector, round-robin replacement and greedy selection instead keep the vote
+tallies of the fixed members in one :class:`VoteState` and score every
+candidate against them at once, so one greedy step costs O(pool·N) for N
+samples, independent of the ensemble size.
 """
 
 from __future__ import annotations
@@ -81,31 +87,15 @@ class Ensemble:
 
 
 def _check_members(members: Sequence[int], preds: PredictionMatrix) -> None:
-    for m in members:
-        if not 0 <= m < preds.n_models:
-            raise ValueError(f"model id {m} outside the pool")
-
-
-def _vote_counts(members: Sequence[int], preds: PredictionMatrix) -> np.ndarray:
-    counts = np.zeros((preds.n_labels, preds.n_samples), dtype=np.int64)
-    cols = np.arange(preds.n_samples)
-    for m in members:
-        counts[preds.rows[m], cols] += 1
-    return counts
+    ids = np.asarray(members, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= preds.n_models)]
+    if bad.size:
+        raise ValueError(f"model id {int(bad[0])} outside the pool")
 
 
 def _votes_from_counts(counts: np.ndarray) -> np.ndarray:
     # argmax scans labels in canonical order, so ties go to the smallest label
     return np.argmax(counts, axis=0)
-
-
-def majority_vote(members: Sequence[int], preds: PredictionMatrix, i: int) -> int:
-    """Majority-vote label of the member multiset on sample ``i``."""
-    if len(members) == 0:
-        raise ValueError("cannot vote with an empty member list")
-    _check_members(members, preds)
-    counts = np.bincount(preds.rows[list(members), i], minlength=preds.n_labels)
-    return int(np.argmax(counts))
 
 
 def _correct_counts(members: Sequence[int], preds: PredictionMatrix) -> np.ndarray:
@@ -115,25 +105,16 @@ def _correct_counts(members: Sequence[int], preds: PredictionMatrix) -> np.ndarr
     return correct
 
 
-def _margins_from_correct(correct: np.ndarray, k: int) -> np.ndarray:
-    return (2.0 / k) * correct - 1.0
-
-
-def margin(members: Sequence[int], preds: PredictionMatrix, i: int) -> float:
-    """Average signed correctness of the members on sample ``i``, in [-1, 1]."""
-    if len(members) == 0:
-        raise ValueError("cannot compute a margin with an empty member list")
-    _check_members(members, preds)
-    correct = int(np.sum(preds.rows[list(members), i] == preds.labels[i]))
-    return float(_margins_from_correct(np.array([correct]), len(members))[0])
-
-
 def zero_one_ensemble_loss(members: Sequence[int], preds: PredictionMatrix) -> float:
     """Fraction of samples the majority vote misclassifies."""
     if len(members) == 0:
         raise ValueError("cannot score an empty member list")
     _check_members(members, preds)
-    votes = _votes_from_counts(_vote_counts(members, preds))
+    counts = np.zeros((preds.n_labels, preds.n_samples), dtype=np.int64)
+    cols = np.arange(preds.n_samples)
+    for m in members:
+        counts[preds.rows[m], cols] += 1
+    votes = _votes_from_counts(counts)
     return float(np.mean(votes != preds.labels))
 
 
@@ -198,6 +179,82 @@ def eval_with_candidate(
     return loss_fn(members, preds)
 
 
+class VoteState:
+    """Vote tallies of a member multiset, scored against every candidate at once.
+
+    ``counts[c, i]`` is the number of members voting label ``c`` on sample
+    ``i`` and ``correct[i]`` the number voting the true label.  Entry ``j``
+    of :meth:`score_all` is bit-identical to ``loss(members + (candidates[j],),
+    preds)``, and costs O(N) per candidate instead of O(k·N).
+    """
+
+    def __init__(self, preds: PredictionMatrix, members: Sequence[int] = ()):
+        self.preds = preds
+        self.members: list[int] = []
+        self.counts = np.zeros((preds.n_labels, preds.n_samples), dtype=np.int64)
+        self.correct = np.zeros(preds.n_samples, dtype=np.int64)
+        self._cols = np.arange(preds.n_samples)
+        for m in members:
+            self.add(m)
+
+    @property
+    def k(self) -> int:
+        return len(self.members)
+
+    def add(self, h: int) -> None:
+        _check_members((h,), self.preds)
+        row = self.preds.rows[h]
+        self.counts[row, self._cols] += 1
+        self.correct += row == self.preds.labels
+        self.members.append(int(h))
+
+    def remove(self, h: int) -> None:
+        """Drop one occurrence of ``h``; raises ``ValueError`` if absent."""
+        if int(h) not in self.members:
+            raise ValueError(f"model id {h} is not a member")
+        self.members.remove(int(h))
+        row = self.preds.rows[h]
+        self.counts[row, self._cols] -= 1
+        self.correct -= row == self.preds.labels
+
+    def _miss_table(self) -> np.ndarray:
+        """``(N, n_labels)`` table: does sample ``i`` miss after one more vote for ``c``?"""
+        labels = self.preds.labels
+        table = np.empty((self.preds.n_samples, self.preds.n_labels), dtype=bool)
+        for c in range(self.preds.n_labels):
+            self.counts[c] += 1
+            table[:, c] = _votes_from_counts(self.counts) != labels
+            self.counts[c] -= 1
+        return table
+
+    def score_all(self, candidates: Sequence[int], loss: str | LossFn) -> np.ndarray:
+        """Loss of the members joined with each candidate, as one float64 vector."""
+        loss_fn = resolve_loss(loss)
+        cands = np.asarray(candidates, dtype=np.intp)
+        _check_members(cands, self.preds)
+        n = self.preds.n_samples
+        k = self.k + 1
+        if loss_fn is zero_one_ensemble_loss:
+            # flat index i * n_labels + label into the row-major miss table
+            codes = np.take(self.preds.rows, cands, axis=0)
+            codes += self._cols * self.preds.n_labels
+            wrong = np.count_nonzero(self._miss_table().ravel().take(codes), axis=1)
+            # a mean of 0/1 values is its integer count over N, exactly
+            return wrong / n
+        if loss_fn is margin_loss or loss_fn is squared_margin_loss:
+            hits = np.take(self.preds.rows, cands, axis=0) == self.preds.labels
+            if loss_fn is margin_loss:
+                # sum(k - correct), with the candidate's hits added to correct
+                total = n * k - int(np.sum(self.correct)) - np.count_nonzero(hits, axis=1)
+                return total / (n * k)
+            wrong = k - self.correct  # per-sample wrong votes if the candidate misses
+            # sum((wrong - hit)^2) == sum(wrong^2) - hits @ (2 * wrong - 1) for 0/1 hits
+            total = int(np.sum(wrong * wrong)) - hits @ (2 * wrong - 1)
+            return total / (n * k * k)
+        base = tuple(self.members)
+        return np.array([loss_fn(base + (int(h),), self.preds) for h in cands], dtype=np.float64)
+
+
 def observation_vector(
     ensemble: Ensemble,
     preds: PredictionMatrix,
@@ -205,51 +262,21 @@ def observation_vector(
 ) -> np.ndarray:
     """``eval_with_candidate`` for every pool model, as one vector.
 
-    The fixed part of the ensemble is aggregated once, so the cost grows
-    linearly with the pool size.  Entry ``h`` is bit-identical to calling
-    :func:`eval_with_candidate` with candidate ``h``.
+    The fixed part of the ensemble is tallied once in a :class:`VoteState`,
+    so the cost grows linearly with the pool size.  Entry ``h`` is
+    bit-identical to calling :func:`eval_with_candidate` with candidate ``h``.
     """
-    loss_fn = resolve_loss(loss)
-    base = ensemble.members()
-    _check_members(base, preds)
-    t = preds.n_models
-    out = np.empty(t, dtype=float)
-    k = len(base) + 1
-    if loss_fn is zero_one_ensemble_loss:
-        counts = _vote_counts(base, preds)
-        cols = np.arange(preds.n_samples)
-        for h in range(t):
-            row = preds.rows[h]
-            counts[row, cols] += 1
-            votes = _votes_from_counts(counts)
-            out[h] = float(np.mean(votes != preds.labels))
-            counts[row, cols] -= 1
-        return out
-    if loss_fn is margin_loss or loss_fn is squared_margin_loss:
-        base_correct = _correct_counts(base, preds)
-        hits = (preds.rows == preds.labels[None, :]).astype(np.int64)
-        n = preds.n_samples
-        for h in range(t):
-            correct = base_correct + hits[h]
-            if loss_fn is margin_loss:
-                out[h] = _margin_loss_from_correct(correct, k, n)
-            else:
-                out[h] = _squared_margin_loss_from_correct(correct, k, n)
-        return out
-    for h in range(t):
-        out[h] = eval_with_candidate(ensemble, h, preds, loss_fn)
-    return out
+    state = VoteState(preds, ensemble.members())
+    return state.score_all(np.arange(preds.n_models), loss)
 
 
-def _argmin_candidate(
-    scores: Sequence[tuple[float, int]],
-) -> tuple[float, int]:
-    """Smallest (loss, id) pair; equal losses resolve to the lowest id."""
-    best_loss, best_id = scores[0]
-    for loss_val, h in scores[1:]:
-        if loss_val < best_loss:
-            best_loss, best_id = loss_val, h
-    return best_loss, best_id
+def _pool_ids(pool: Sequence[int], preds: PredictionMatrix) -> np.ndarray:
+    """Distinct pool ids in ascending order, so ``argmin`` ties go to the lowest id."""
+    ids = np.array(sorted(set(int(h) for h in pool)), dtype=np.intp)
+    if ids.size == 0:
+        raise ValueError("pool must be non-empty")
+    _check_members(ids, preds)
+    return ids
 
 
 def greedy_select(
@@ -264,12 +291,10 @@ def greedy_select(
     The first ``warm_k`` slots take the individually best distinct pool
     models (ranked by single-model loss, ties to the lowest id).  Every
     later slot takes the pool model whose addition minimizes the ensemble
-    loss, again breaking ties toward the lowest id.
+    loss, again breaking ties toward the lowest id.  One step scores the
+    whole pool against the running vote tallies in O(pool·N).
     """
-    pool = sorted(set(int(h) for h in pool))
-    if len(pool) == 0:
-        raise ValueError("pool must be non-empty")
-    _check_members(pool, preds)
+    pool = _pool_ids(pool, preds)
     if size < 1:
         raise ValueError("size must be at least 1")
     if warm_k < 0 or warm_k > size:
@@ -278,13 +303,13 @@ def greedy_select(
         raise ValueError("warm_k exceeds the pool size")
     loss_fn = resolve_loss(loss)
 
-    singles = sorted((loss_fn((h,), preds), h) for h in pool)
-    slots: list[int] = [h for _, h in singles[:warm_k]]
-    while len(slots) < size:
-        scores = [(loss_fn(tuple(slots) + (h,), preds), h) for h in pool]
-        _, chosen = _argmin_candidate(scores)
-        slots.append(chosen)
-    return Ensemble(tuple(slots))
+    state = VoteState(preds)
+    singles = state.score_all(pool, loss_fn)
+    for h in pool[np.argsort(singles, kind="stable")[:warm_k]]:
+        state.add(h)
+    while state.k < size:
+        state.add(pool[np.argmin(state.score_all(pool, loss_fn))])
+    return Ensemble(tuple(state.members))
 
 
 def round_robin_replace(
@@ -301,13 +326,8 @@ def round_robin_replace(
     """
     if not 0 <= slot < ensemble.size:
         raise ValueError(f"slot index {slot} out of range")
-    pool = sorted(set(int(h) for h in pool))
-    if len(pool) == 0:
-        raise ValueError("pool must be non-empty")
-    _check_members(pool, preds)
+    pool = _pool_ids(pool, preds)
     loss_fn = resolve_loss(loss)
     vacated = ensemble.with_slot(slot, None)
-    base = vacated.members()
-    scores = [(loss_fn(base + (h,), preds), h) for h in pool]
-    _, chosen = _argmin_candidate(scores)
-    return vacated.with_slot(slot, chosen)
+    scores = VoteState(preds, vacated.members()).score_all(pool, loss_fn)
+    return vacated.with_slot(slot, int(pool[np.argmin(scores)]))

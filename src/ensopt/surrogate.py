@@ -367,6 +367,10 @@ def slice_sample_hypers(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be non-negative")
+    if thin < 1:
+        raise ValueError("thin must be at least 1")
     d = obs.dimension
     log_target = _log_posterior(obs, priors)
     theta = np.log(
@@ -387,7 +391,7 @@ def slice_sample_hypers(
         theta, f = sweep(theta, f)
     samples: list[GpHyperparams] = []
     while len(samples) < count:
-        for _ in range(max(thin, 1)):
+        for _ in range(thin):
             theta, f = sweep(theta, f)
         samples.append(_theta_to_hypers(theta, d))
     return samples

@@ -22,7 +22,6 @@ from ensopt.ensemble import (
     Ensemble,
     PredictionMatrix,
     greedy_select,
-    margin,
     margin_loss,
     observation_vector,
     round_robin_replace,
@@ -39,6 +38,8 @@ from ensopt.surrogate import (
     log_marginal_likelihood,
 )
 from ensopt.synthetic import gaussian_blobs, two_moons
+
+from oracles import margin
 
 
 def random_matrix(rng, t_max=8, n_max=30, labels_max=4) -> PredictionMatrix:

@@ -6,16 +6,17 @@ import pytest
 from ensopt.ensemble import (
     Ensemble,
     PredictionMatrix,
+    VoteState,
     eval_with_candidate,
     greedy_select,
-    majority_vote,
-    margin,
     margin_loss,
     observation_vector,
     round_robin_replace,
     squared_margin_loss,
     zero_one_ensemble_loss,
 )
+
+from oracles import majority_vote, margin
 
 
 def oracle_vote(member_rows, labels_count, i):
@@ -357,6 +358,147 @@ class TestRoundRobinReplace:
     def test_bad_slot_rejected(self):
         with pytest.raises(ValueError):
             round_robin_replace(Ensemble((0, 1)), 2, range(3), FIXED, "zero_one")
+
+
+LOSS_FNS = {
+    "zero_one": zero_one_ensemble_loss,
+    "margin": margin_loss,
+    "squared_margin": squared_margin_loss,
+}
+
+
+def scratch_greedy(pool, preds, size, warm_k, loss_fn):
+    """Greedy selection with every candidate scored from scratch by ``loss_fn``."""
+    ids = sorted(set(int(h) for h in pool))
+    singles = sorted((loss_fn((h,), preds), h) for h in ids)
+    slots = [h for _, h in singles[:warm_k]]
+    while len(slots) < size:
+        slots.append(min((loss_fn(tuple(slots) + (h,), preds), h) for h in ids)[1])
+    return tuple(slots)
+
+
+def correlated_pool(rng, models, n, n_labels=3):
+    """Rows whose errors share a per-sample difficulty, as in a real model pool."""
+    labels = rng.integers(0, n_labels, size=n)
+    skill = rng.uniform(0.0, 2.2, size=models)
+    difficulty = rng.standard_normal(n)
+    right = skill[:, None] - 1.5 * difficulty[None, :] + rng.standard_normal((models, n)) > 0
+    wrong = (labels + rng.integers(1, n_labels, size=(models, n))) % n_labels
+    return PredictionMatrix(np.where(right, labels, wrong), labels, n_labels)
+
+
+class TestVoteState:
+    def test_score_all_matches_from_scratch_bitwise(self):
+        rng = np.random.default_rng(13)
+        for n_labels in (2, 3, 4):
+            for _ in range(15):
+                preds = random_preds(rng, t=int(rng.integers(2, 9)), n_labels=n_labels)
+                state = VoteState(preds)
+                members = []
+                for _ in range(12):
+                    if members and rng.random() < 0.35:
+                        h = members[int(rng.integers(0, len(members)))]
+                        state.remove(h)
+                        members.remove(h)
+                    else:
+                        # repeats are likely: pools hold at most 8 models
+                        h = int(rng.integers(0, preds.n_models))
+                        state.add(h)
+                        members.append(h)
+                    assert state.k == len(members)
+                    cands = rng.permutation(preds.n_models)
+                    for name, fn in LOSS_FNS.items():
+                        got = state.score_all(cands, name)
+                        want = np.array([fn(tuple(members) + (int(h),), preds) for h in cands])
+                        assert got.dtype == np.float64
+                        assert got.tobytes() == want.tobytes(), (n_labels, name, members)
+
+    def test_empty_state_scores_single_models(self):
+        rng = np.random.default_rng(14)
+        preds = random_preds(rng, t=7, n_labels=3)
+        singles = np.array([zero_one_ensemble_loss((h,), preds) for h in range(7)])
+        for name in LOSS_FNS:
+            got = VoteState(preds).score_all(range(7), name)
+            assert got.tobytes() == singles.tobytes()
+
+    def test_counts_follow_adds_and_removes(self):
+        state = VoteState(FIXED, (1, 2, 2))
+        state.remove(2)
+        np.testing.assert_array_equal(state.counts, VoteState(FIXED, (1, 2)).counts)
+        np.testing.assert_array_equal(state.correct, VoteState(FIXED, (2, 1)).correct)
+        assert state.k == 2
+        with pytest.raises(ValueError):
+            state.remove(0)
+        with pytest.raises(ValueError):
+            state.add(3)
+        with pytest.raises(ValueError):
+            state.score_all([0, -1], "zero_one")
+
+    def test_custom_loss_scored_from_scratch(self):
+        def first_member_loss(members, preds):
+            return float(members[0]) + zero_one_ensemble_loss(members, preds)
+
+        state = VoteState(FIXED, (2, 0))
+        got = state.score_all([1, 0], first_member_loss)
+        want = [first_member_loss((2, 0, h), FIXED) for h in (1, 0)]
+        assert got.tolist() == want
+
+
+class TestSelectionTiesAndPools:
+    # rows 0 and 1 are identical, row 2 is their complement, row 3 mixes
+    TIED = PredictionMatrix(
+        rows=np.array([[0, 1, 0, 1], [0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1]]),
+        labels=np.array([0, 1, 1, 0]),
+        n_labels=2,
+    )
+
+    @pytest.mark.parametrize("loss", sorted(LOSS_FNS))
+    def test_greedy_ignores_pool_order_and_duplicates(self, loss):
+        for size, warm_k in ((1, 0), (3, 0), (3, 2), (5, 4)):
+            want = scratch_greedy(range(4), self.TIED, size, warm_k, LOSS_FNS[loss])
+            for pool in ([3, 1, 0, 2], [2, 2, 0, 3, 1, 0], np.array([1, 3, 0, 2, 3])):
+                got = greedy_select(pool, self.TIED, size, warm_k, loss)
+                assert got.slots == want, (pool, size, warm_k)
+
+    def test_all_tied_pool_takes_lowest_id(self):
+        rows = np.tile(np.array([0, 1, 2]), (4, 1))
+        preds = PredictionMatrix(rows, np.array([0, 1, 1]), 3)
+        for loss in LOSS_FNS:
+            assert greedy_select([3, 2, 1], preds, 3, 2, loss).slots == (1, 2, 1)
+            out = round_robin_replace(Ensemble((3, 3, 0)), 1, [3, 2, 2, 1], preds, loss)
+            assert out.slots == (3, 1, 0)
+
+    def test_warm_start_breaks_many_ties_by_id(self):
+        # 200 models over 3 samples share four single-model losses
+        rng = np.random.default_rng(17)
+        preds = PredictionMatrix(rng.integers(0, 2, size=(200, 3)), np.array([0, 1, 1]), 2)
+        for loss in LOSS_FNS:
+            got = greedy_select(rng.permutation(200), preds, 60, 60, loss)
+            assert got.slots == scratch_greedy(range(200), preds, 60, 60, LOSS_FNS[loss])
+
+    @pytest.mark.parametrize("loss", sorted(LOSS_FNS))
+    def test_round_robin_ignores_pool_order_and_duplicates(self, loss):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            preds = random_preds(rng, t=6)
+            rows = preds.rows.copy()
+            rows[4] = rows[1]  # an engineered tie between two pool members
+            preds = PredictionMatrix(rows, preds.labels, preds.n_labels)
+            ens = Ensemble(tuple(int(v) for v in rng.integers(0, 6, size=4)))
+            j = int(rng.integers(0, 4))
+            others = tuple(s for i, s in enumerate(ens.slots) if i != j)
+            pool = [int(v) for v in rng.permutation(6)] + [4, 1]
+            want = min((LOSS_FNS[loss](others + (h,), preds), h) for h in range(6))[1]
+            out = round_robin_replace(ens, j, pool, preds, loss)
+            assert out.slots[j] == want
+            assert out.slots[:j] + out.slots[j + 1 :] == others
+
+    @pytest.mark.parametrize("warm_k", [0, 3, 7])
+    @pytest.mark.parametrize("loss", ["zero_one", "squared_margin"])
+    def test_large_pool_matches_from_scratch_greedy(self, warm_k, loss):
+        preds = correlated_pool(np.random.default_rng(16), models=300, n=400)
+        got = greedy_select(range(300), preds, 20, warm_k, loss)
+        assert got.slots == scratch_greedy(range(300), preds, 20, warm_k, LOSS_FNS[loss])
 
 
 class TestPredictionMatrixValidation:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ensopt.artifact import load_artifact, save_artifact
+from ensopt import cli
+from ensopt.artifact import _read_int_rows, _write_int_rows, load_artifact, save_artifact
 from ensopt.ensemble import greedy_select, zero_one_ensemble_loss
 from ensopt.hyperspace import ParamSpec, SearchSpace
 from ensopt.optimizer import (
@@ -326,6 +327,63 @@ class TestArtifactRoundTrip:
             assert log["observation_digest"] == digest_vector(
                 losses[: log["iteration"]]
             )
+
+    @pytest.mark.parametrize(
+        "rows, text",
+        [
+            (np.array([[0, 2, 1, 10]]), "0,2,1,10\n"),
+            (np.array([[3], [0], [12]]), "3\n0\n12\n"),
+            (np.array([[1, 0], [0, 1], [2, 2]]), "1,0\n0,1\n2,2\n"),
+        ],
+        ids=["one_row", "one_column", "matrix"],
+    )
+    def test_int_rows_round_trip(self, tmp_path, rows, text):
+        path = str(tmp_path / "rows.csv")
+        _write_int_rows(path, rows)
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == text
+        back = _read_int_rows(path)
+        assert back.dtype == np.int64
+        np.testing.assert_array_equal(back, rows)
+
+    def test_one_dimensional_labels_written_as_one_row(self, tmp_path):
+        path = str(tmp_path / "labels.csv")
+        _write_int_rows(path, np.array([2, 0, 1]))
+        np.testing.assert_array_equal(_read_int_rows(path), [[2, 0, 1]])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,2\n3\n", "1,x\n", "1,1.5\n", "1,2,\n", "#1,2\n"],
+        ids=["ragged", "word", "float", "empty_token", "comment"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "rows.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            _read_int_rows(str(path))
+
+    def test_malformed_prediction_file_is_a_data_error(self, tmp_path, capsys):
+        history, artifact = run_bo(UNIT, PointHashStub(), 4, init=4, seed=3, settings=FAST)
+        out = tmp_path / "run"
+        save_artifact(str(out), artifact, history)
+        val_file = out / "history" / "predictions_val.csv"
+        lines = val_file.read_text(encoding="utf-8").splitlines()
+        val_file.write_text("\n".join(lines[:-1] + [lines[-1] + ",0"]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_artifact(str(out))
+        assert cli.main(["post", "--artifact", str(out), "--size", "3"]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("text", ["", "\n", "0,1\n1,0\n"], ids=["empty", "blank", "two_rows"])
+    def test_labels_file_must_hold_one_row(self, tmp_path, capsys, text):
+        history, artifact = run_bo(UNIT, PointHashStub(), 4, init=4, seed=3, settings=FAST)
+        out = tmp_path / "run"
+        save_artifact(str(out), artifact, history)
+        (out / "labels_test.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_artifact(str(out))
+        assert cli.main(["post", "--artifact", str(out), "--size", "3"]) == 2
+        capsys.readouterr()
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(Exception):

@@ -304,6 +304,19 @@ class TestSliceSampling:
             assert np.all((s.lengthscales >= 1e-2) & (s.lengthscales <= 1e1))
             assert 1e-4 <= s.noise <= 1e0
 
+    @pytest.mark.parametrize(
+        "count, burn_in, thin",
+        [(0, 30, 2), (1, -1, 2), (1, 30, 0), (1, 30, -1)],
+        ids=["count0", "burn_in-1", "thin0", "thin-1"],
+    )
+    def test_invalid_effort_rejected(self, count, burn_in, thin):
+        rng = np.random.default_rng(4)
+        obs = ObservationSet(rng.random((5, 2)), rng.normal(size=5))
+        with pytest.raises(ValueError):
+            slice_sample_hypers(
+                obs, HyperPriors(), count, np.random.default_rng(0), burn_in=burn_in, thin=thin
+            )
+
     def test_sampled_hypers_keep_covariance_factorizable(self):
         rng = np.random.default_rng(17)
         X = rng.random((10, 2))
