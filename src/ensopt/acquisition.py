@@ -31,19 +31,6 @@ class AcquisitionContext:
     refinements: int = 20
 
 
-def expected_improvement(mean: float, variance: float, best: float) -> float:
-    """Expected improvement of a Gaussian belief below the incumbent ``best``."""
-    if variance < VARIANCE_FLOOR:
-        raise ValueError(f"negative predictive variance: {variance}")
-    sigma = math.sqrt(max(variance, 0.0))
-    gap = best - mean
-    if sigma == 0.0:
-        return max(gap, 0.0)
-    z = gap / sigma
-    value = gap * ndtr(z) + sigma * INV_SQRT_2PI * math.exp(-0.5 * z * z)
-    return max(float(value), 0.0)
-
-
 def _ei_batch(means: np.ndarray, variances: np.ndarray, best: float) -> np.ndarray:
     if (variances < VARIANCE_FLOOR).any():
         raise ValueError("negative predictive variance")

@@ -23,7 +23,7 @@ from . import artifact as artifact_io
 from .data import DataError, load_csv, make_split, merge_with_test
 from .ensemble import zero_one_ensemble_loss
 from .hyperspace import load_space
-from .learners import ALGORITHMS, default_space
+from .learners import ALGORITHMS, REQUIRED_PARAMS, default_space
 from .optimizer import (
     CrossValEvaluator,
     SearchSettings,
@@ -141,6 +141,8 @@ class RunConfig:
                 "config field 'algorithms': 'gnb' alone leaves nothing to tune; "
                 "add another algorithm or provide a space file"
             )
+        if self.space is not None:
+            _check_space(self.space, self.algorithms)
         if self.loss not in ("zero_one", "margin", "squared_margin"):
             raise UsageError("config field 'loss' must name a known loss")
         for group, knobs in (("gp", GP_KNOBS), ("acquisition", ACQUISITION_KNOBS)):
@@ -156,6 +158,39 @@ def _check_int(name: str, value: Any, minimum: int) -> None:
         raise UsageError(f"config field {name!r} must be an integer, got {value!r}")
     if value < minimum:
         raise UsageError(f"config field {name!r} must be at least {minimum}")
+
+
+def _check_space(path: Any, algorithms: Sequence[str]) -> None:
+    """Every algorithm the space file can select must find the parameters it reads."""
+    if not isinstance(path, str):
+        raise UsageError(f"config field 'space' must be a path, got {path!r}")
+    try:
+        space = load_space(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read space file {path}: {exc}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"space file {path} is malformed: {exc}") from None
+    selectable = tuple(algorithms)
+    if len(selectable) > 1:
+        if "algorithm" not in space.names or space["algorithm"].kind != "categorical":
+            raise UsageError(
+                f"space file {path}: several algorithms need a categorical "
+                "'algorithm' parameter"
+            )
+        selectable = space["algorithm"].categories
+        for algo in selectable:
+            if algo not in algorithms:
+                raise UsageError(
+                    f"space file {path}: 'algorithm' category {algo!r} is not "
+                    "in config field 'algorithms'"
+                )
+    for algo in selectable:
+        for name in REQUIRED_PARAMS[algo]:
+            if name not in space.names:
+                raise UsageError(
+                    f"space file {path}: algorithm {algo!r} requires parameter "
+                    f"{name!r}, which the space lacks"
+                )
 
 
 def _settings(config: RunConfig) -> SearchSettings:

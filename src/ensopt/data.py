@@ -77,6 +77,14 @@ def load_csv(path: str, label_col: str | int) -> Dataset:
         if label == "":
             raise DataError(f"{path}: row {r + 1}: empty label")
         raw_labels.append(label)
+    # float() parses "nan" and "inf", which no learner can use
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        r, j = bad[0]
+        raise DataError(
+            f"{path}: row {r + 1}, column {header[feature_idx[j]]!r}: "
+            f"{rows[r][feature_idx[j]].strip()!r} is not a finite number"
+        )
 
     names = tuple(sorted(set(raw_labels), key=_label_sort_key))
     if len(names) < 2:
@@ -199,7 +207,6 @@ def cross_val_predictions(
     portion.
     """
     nontest = plan.non_test(data.n_samples)
-    position = {int(idx): p for p, idx in enumerate(nontest)}
     val_row = np.full(nontest.size, -1, dtype=np.int64)
     for f_i, fold in enumerate(plan.folds):
         if fold.size == 0:
@@ -209,27 +216,9 @@ def cross_val_predictions(
         train_mask[fold] = False
         train_idx = np.flatnonzero(train_mask)
         model = train(algo, config, data.subset(train_idx), seed, fold=f_i)
-        preds = predict(model, data.features[fold])
-        for idx, p in zip(fold, preds):
-            val_row[position[int(idx)]] = p
+        # nontest is sorted, so searchsorted finds each fold index's position
+        val_row[np.searchsorted(nontest, fold)] = predict(model, data.features[fold])
     final = train(algo, config, data.subset(nontest), seed)
     test_row = predict(final, data.features[plan.test])
     return val_row, test_row
 
-
-def fold_losses(
-    val_row: np.ndarray,
-    labels_val: np.ndarray,
-    plan: SplitPlan,
-    n: int,
-) -> list[float]:
-    """Zero-one error of the pooled row restricted to each fold."""
-    nontest = plan.non_test(n)
-    position = {int(idx): p for p, idx in enumerate(nontest)}
-    out = []
-    for fold in plan.folds:
-        pos = np.array([position[int(i)] for i in fold], dtype=np.int64)
-        if pos.size == 0:
-            continue
-        out.append(float(np.mean(val_row[pos] != labels_val[pos])))
-    return out

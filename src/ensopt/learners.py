@@ -4,6 +4,13 @@ Four algorithms share one ``train``/``predict`` interface: k-nearest
 neighbours, a CART-style decision tree, Gaussian naive Bayes and a
 one-vs-rest regularized linear classifier.  Training on a single-class
 subset yields a constant model flagged as degenerate instead of an error.
+
+k-nearest neighbours takes every training row strictly closer than the k-th
+smallest distance, then the rows at exactly that distance in training order
+until k are chosen; the vote goes to the smallest label among the most
+frequent.  The linear classifier trains its one-vs-rest classes jointly in
+one stacked state, with one matrix-vector product per class and step, so
+each class follows the same arithmetic as if it were trained alone.
 """
 
 from __future__ import annotations
@@ -16,6 +23,14 @@ import numpy as np
 from .hyperspace import Config, ParamSpec, SearchSpace
 
 ALGORITHMS = ("knn", "tree", "gnb", "linear")
+
+# the configuration parameters each algorithm reads when it trains
+REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
+    "knn": ("n_neighbors",),
+    "tree": ("max_depth", "min_samples_split", "min_samples_leaf"),
+    "gnb": (),
+    "linear": ("C",),
+}
 
 
 @dataclass
@@ -31,6 +46,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d array")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must match the number of feature rows")
         self.label_names = tuple(self.label_names)
@@ -93,10 +110,12 @@ def default_space(algorithms: Sequence[str] = ALGORITHMS) -> SearchSpace:
     return SearchSpace(tuple(specs))
 
 
-def _require(config: Config, name: str, algo: str) -> Any:
-    if name not in config.values:
-        raise ValueError(f"algorithm {algo!r} requires parameter {name!r}")
-    return config.values[name]
+def _require(config: Config, algo: str) -> list[Any]:
+    """Values of the parameters ``algo`` reads, in ``REQUIRED_PARAMS`` order."""
+    for name in REQUIRED_PARAMS[algo]:
+        if name not in config.values:
+            raise ValueError(f"algorithm {algo!r} requires parameter {name!r}")
+    return [config.values[name] for name in REQUIRED_PARAMS[algo]]
 
 
 def _standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,6 +162,9 @@ def predict(model: TrainedModel, features: np.ndarray) -> np.ndarray:
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-d array")
+    # a NaN distance would fall outside every kNN neighbour set
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
     expected = model.params.get("n_features")
     if expected is not None and X.shape[1] != expected:
         raise ValueError(
@@ -163,7 +185,7 @@ def predict(model: TrainedModel, features: np.ndarray) -> np.ndarray:
 
 
 def _train_knn(config: Config, data: Dataset) -> dict[str, Any]:
-    k = int(_require(config, "n_neighbors", "knn"))
+    (k,) = map(int, _require(config, "knn"))
     if k < 1:
         raise ValueError("n_neighbors must be at least 1")
     mean, sd = _standardize_stats(data.features)
@@ -186,13 +208,22 @@ def _predict_knn(params: dict[str, Any], X: np.ndarray) -> np.ndarray:
         + np.sum(train_x * train_x, axis=1)[None, :]
         - 2.0 * (Xs @ train_x.T)
     )
-    # stable sort keeps equidistant neighbours in training order
-    order = np.argsort(d2, axis=1, kind="stable")[:, : params["k"]]
-    votes = params["train_y"][order]
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for i in range(X.shape[0]):
-        out[i] = np.argmax(np.bincount(votes[i], minlength=params["n_labels"]))
-    return out
+    k = params["k"]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+    chosen = d2 <= kth
+    # rows with more ties at the k-th distance than room keep the first ones
+    surplus = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k)
+    if surplus.size:
+        dist, cut = d2[surplus], kth[surplus]
+        ties = dist == cut
+        room = k - np.count_nonzero(dist < cut, axis=1)
+        chosen[surplus] &= ~ties | (np.cumsum(ties, axis=1) <= room[:, None])
+    n_labels = params["n_labels"]
+    row, col = np.nonzero(chosen)
+    votes = np.bincount(
+        row * n_labels + params["train_y"][col], minlength=X.shape[0] * n_labels
+    )
+    return np.argmax(votes.reshape(X.shape[0], n_labels), axis=1)
 
 
 # --- decision tree ----------------------------------------------------------
@@ -264,9 +295,7 @@ def _grow(
 
 
 def _train_tree(config: Config, data: Dataset) -> dict[str, Any]:
-    max_depth = int(_require(config, "max_depth", "tree"))
-    min_split = int(_require(config, "min_samples_split", "tree"))
-    min_leaf = int(_require(config, "min_samples_leaf", "tree"))
+    max_depth, min_split, min_leaf = map(int, _require(config, "tree"))
     if max_depth < 1 or min_split < 2 or min_leaf < 1:
         raise ValueError("invalid tree configuration")
     root = _grow(
@@ -332,32 +361,39 @@ LINEAR_ITERATIONS = 500
 
 
 def _train_linear(config: Config, data: Dataset) -> dict[str, Any]:
-    C = float(_require(config, "C", "linear"))
+    (C,) = map(float, _require(config, "linear"))
     if C <= 0.0:
         raise ValueError("C must be positive")
     mean, sd = _standardize_stats(data.features)
     X = (data.features - mean) / sd
     n = X.shape[0]
     present = np.unique(data.labels)
+    # row i holds class present[i]: targets, margins, weights, gradients
+    T = np.where(data.labels[None, :] == present[:, None], 1.0, -1.0)
+    Z = np.empty((present.size, n))
     weights = np.zeros((present.size, data.n_features))
+    G = np.empty_like(weights)
     biases = np.zeros(present.size)
+    Cn = C * n
     # extreme C can overflow under the fixed step schedule; IEEE semantics
     # still give deterministic (if useless) predictions, so silence the flags
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, c in enumerate(present):
-            target = np.where(data.labels == c, 1.0, -1.0)
-            w = np.zeros(data.n_features)
-            b = 0.0
-            for it in range(LINEAR_ITERATIONS):
-                step = 0.1 / (1.0 + 0.01 * it)
-                z = np.clip(target * (X @ w + b), -500.0, 500.0)
-                s = target / (1.0 + np.exp(z))
-                grad_w = -(X.T @ s) / n + w / (C * n)
-                grad_b = -np.mean(s)
-                w = w - step * grad_w
-                b = b - step * grad_b
-            weights[i] = w
-            biases[i] = b
+        for it in range(LINEAR_ITERATIONS):
+            step = 0.1 / (1.0 + 0.01 * it)
+            # one gemv per class: a single stacked gemm rounds differently
+            for i in range(present.size):
+                np.dot(X, weights[i], out=Z[i])
+            Z += biases[:, None]
+            Z *= T
+            np.minimum(np.maximum(Z, -500.0, out=Z), 500.0, out=Z)
+            np.exp(Z, out=Z)
+            Z += 1.0
+            np.divide(T, Z, out=Z)
+            for i in range(present.size):
+                np.dot(X.T, Z[i], out=G[i])
+            grad_b = -(np.add.reduce(Z, axis=1) / n)
+            weights = weights - step * (-G / n + weights / Cn)
+            biases = biases - step * grad_b
     return {
         "n_features": data.n_features,
         "mean": mean,

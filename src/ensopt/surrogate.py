@@ -60,13 +60,6 @@ class LogNormalPrior:
     low: float = 1e-6
     high: float = 1e3
 
-    def log_pdf_at_log(self, log_x: float) -> float:
-        """Density of log(x) under the prior, -inf outside the support."""
-        if not math.log(self.low) <= log_x <= math.log(self.high):
-            return -math.inf
-        z = (log_x - math.log(self.median)) / self.log_sd
-        return -0.5 * z * z - math.log(self.log_sd) - HALF_LOG_2PI
-
 
 @dataclass(frozen=True)
 class HyperPriors:
@@ -111,18 +104,6 @@ class ObservationSet:
     @property
     def dimension(self) -> int:
         return self.inputs.shape[1]
-
-
-def matern52(x1: np.ndarray, x2: np.ndarray, hypers: GpHyperparams) -> float:
-    """Matern-5/2 covariance between two points with per-dimension scaling."""
-    a = np.asarray(x1, dtype=float)
-    b = np.asarray(x2, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("points must share a dimension")
-    d = a - b
-    r2 = float(np.sum((d / hypers.lengthscales) ** 2))
-    r = math.sqrt(r2)
-    return hypers.amplitude * (1.0 + SQRT5 * r + 5.0 * r2 / 3.0) * math.exp(-SQRT5 * r)
 
 
 def _scaled_sqdists(X1: np.ndarray, X2: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ensopt import cli
-from ensopt.acquisition import AcquisitionContext, expected_improvement, next_point
+from ensopt.acquisition import AcquisitionContext, next_point
 from ensopt.ensemble import (
     Ensemble,
     PredictionMatrix,
@@ -39,7 +39,7 @@ from ensopt.surrogate import (
 )
 from ensopt.synthetic import gaussian_blobs, two_moons
 
-from oracles import margin
+from oracles import expected_improvement, margin
 
 
 def random_matrix(rng, t_max=8, n_max=30, labels_max=4) -> PredictionMatrix:

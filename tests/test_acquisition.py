@@ -8,11 +8,12 @@ from ensopt.acquisition import (
     INV_SQRT_2PI,
     AcquisitionContext,
     _ei_batch,
-    expected_improvement,
     next_point,
 )
 from ensopt.hyperspace import ParamSpec, SearchSpace
 from ensopt.surrogate import GpHyperparams, ObservationSet, fit
+
+from oracles import expected_improvement
 
 
 def oracle_ei(mean, variance, best):

@@ -189,6 +189,91 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not os.path.exists(doc["output_dir"])
 
+    def test_non_finite_feature_is_data_error(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a non-finite feature must stop the run before training")
+
+        monkeypatch.setattr(cli, "run_bo", no_training)
+        with open(TOY_CSV, "r", encoding="utf-8") as fh:
+            rows = fh.read().splitlines()
+        x0, _, label = rows[3].split(",")
+        for cell in ("nan", "inf", "-Infinity"):
+            broken = rows[:3] + [f"{x0},{cell},{label}"] + rows[4:]
+            data = tmp_path / "broken.csv"
+            data.write_text("\n".join(broken) + "\n", encoding="utf-8")
+            cfg, doc = base_config(tmp_path, dataset=str(data))
+            assert cli.main(["run", "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert f"row 3, column 'x1': '{cell}' is not a finite number" in err
+            assert "Traceback" not in err
+            assert not os.path.exists(doc["output_dir"])
+
+    @pytest.mark.parametrize(
+        "algorithms, params, message",
+        [
+            (["knn"], [{"name": "k", "kind": "integer", "lower": 1, "upper": 9}],
+             "algorithm 'knn' requires parameter 'n_neighbors'"),
+            (["knn", "linear"],
+             [{"name": "algorithm", "kind": "categorical", "categories": ["knn", "linear"]},
+              {"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 9}],
+             "algorithm 'linear' requires parameter 'C'"),
+            (["knn", "tree"], [{"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 9}],
+             "categorical 'algorithm' parameter"),
+            (["knn", "gnb"],
+             [{"name": "algorithm", "kind": "categorical", "categories": ["knn", "linear"]},
+              {"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 9},
+              {"name": "C", "kind": "log-continuous", "lower": 1e-3, "upper": 1e3}],
+             "category 'linear' is not in config field 'algorithms'"),
+            (["tree"], [{"name": "max_depth", "kind": "integer", "lower": 1, "upper": 5}],
+             "algorithm 'tree' requires parameter 'min_samples_split'"),
+            (["knn"], [{"name": "n_neighbors", "kind": "integer"}], "is malformed"),
+        ],
+        ids=[
+            "renamed-param",
+            "second-algorithm-param",
+            "no-selector",
+            "unconfigured-category",
+            "partial-tree",
+            "malformed",
+        ],
+    )
+    def test_space_mismatch_fails_before_data(
+        self, tmp_path, capsys, monkeypatch, algorithms, params, message
+    ):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"params": params}), encoding="utf-8")
+        cfg, doc = base_config(tmp_path, algorithms=algorithms, space=str(space))
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("the space must be rejected before the data loads")
+
+        monkeypatch.setattr(cli, "load_csv", no_data)
+        assert cli.main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not os.path.exists(doc["output_dir"])
+
+    def test_unreadable_space_is_usage_error(self, tmp_path, capsys):
+        for space in (str(tmp_path / "absent.json"), 5):
+            cfg, doc = base_config(tmp_path, space=space)
+            assert cli.main(["run", "--config", cfg]) == 1
+            assert "space" in capsys.readouterr().err
+            assert not os.path.exists(doc["output_dir"])
+
+    def test_matching_space_file_runs(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        params = [
+            {"name": "algorithm", "kind": "categorical", "categories": ["knn", "gnb"]},
+            {"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 9},
+        ]
+        space.write_text(json.dumps({"params": params}), encoding="utf-8")
+        cfg, doc = base_config(tmp_path, algorithms=["knn", "gnb"], space=str(space))
+        assert cli.main(["run", "--config", cfg]) == 0
+        assert "test_error=" in capsys.readouterr().out
+        history = load_artifact(doc["output_dir"]).history
+        assert not any(r.degenerate for r in history.records)
+
     def test_required_fields_enforced(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"method": "bo-best"}), encoding="utf-8")

@@ -6,13 +6,15 @@ import pytest
 from ensopt.data import (
     DataError,
     cross_val_predictions,
-    fold_losses,
     load_csv,
     make_split,
     merge_with_test,
 )
 from ensopt.hyperspace import Config
 from ensopt.learners import Dataset
+
+from oracles import cross_val_predictions as dict_scatter_cross_val
+from oracles import fold_losses
 
 
 def write_csv(path, text: str) -> str:
@@ -248,6 +250,23 @@ class TestCrossValPredictions:
         nontest = plan.non_test(data.n_samples)
         assert float(np.mean(val_row != data.labels[nontest])) <= 0.05
         assert float(np.mean(test_row != data.labels[plan.test])) <= 0.05
+
+    @pytest.mark.parametrize("algo, values", [
+        ("knn", {"n_neighbors": 4}),
+        ("tree", {"max_depth": 3, "min_samples_split": 2, "min_samples_leaf": 1}),
+        ("gnb", {}),
+        ("linear", {"C": 1.0}),
+    ])
+    def test_rows_equal_per_sample_scatter(self, algo, values):
+        data = labeled_dataset({0: 23, 1: 31, 2: 17}, seed=14)
+        for plan in (
+            make_split(data, 0.3, 4, seed=14),
+            make_split(data, 0.5, 3, seed=15, fixed_test=np.arange(0, 71, 3)),
+        ):
+            got = cross_val_predictions(algo, Config(values), data, plan, seed=0)
+            want = dict_scatter_cross_val(algo, Config(values), data, plan, seed=0)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestFoldLosses:

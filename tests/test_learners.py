@@ -6,11 +6,14 @@ import pytest
 from ensopt.hyperspace import Config
 from ensopt.learners import (
     ALGORITHMS,
+    REQUIRED_PARAMS,
     Dataset,
     default_space,
     predict,
     train,
 )
+
+from oracles import predict_knn, train_linear
 
 
 def blob_dataset(
@@ -50,6 +53,12 @@ class TestDefaultSpace:
     def test_single_algorithm_drops_selector(self):
         space = default_space(["knn"])
         assert space.names == ("n_neighbors",)
+
+    def test_required_parameters_span_each_default_space(self):
+        assert set(REQUIRED_PARAMS) == set(ALGORITHMS)
+        for algo, names in REQUIRED_PARAMS.items():
+            if names:
+                assert set(default_space([algo]).names) == set(names)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -113,6 +122,35 @@ class TestKnn:
         data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
         with pytest.raises(ValueError, match="n_neighbors"):
             train("knn", Config({}), data, seed=0)
+
+
+class TestKnnMatchesStableSort:
+    """Predictions equal those of a full stable sort of every distance row."""
+
+    @pytest.mark.parametrize("k", [1, 4, 9, "all"])
+    @pytest.mark.parametrize("grid", [False, True], ids=["random", "integer-grid"])
+    def test_predictions_equal_oracle(self, k, grid):
+        rng = np.random.default_rng(31 if grid else 32)
+        for trial in range(6):
+            n, m, n_labels = 40 + 7 * trial, 35, 2 + trial % 3
+            if grid:
+                # coarse integer features make many exactly equal distances
+                features = rng.integers(0, 3, size=(n, 2)).astype(float)
+                queries = rng.integers(-1, 4, size=(m, 2)).astype(float)
+            else:
+                features = rng.normal(size=(n, 3))
+                queries = rng.normal(size=(m, 3))
+            # duplicate training rows with differing labels
+            features[n // 2 : n // 2 + 5] = features[:5]
+            queries[:5] = features[:5]
+            labels = rng.integers(0, n_labels, size=n)
+            labels[:n_labels] = np.arange(n_labels)
+            data = Dataset(features, labels, tuple("abcd"[:n_labels]))
+            neighbours = n if k == "all" else k
+            model = train("knn", Config({"n_neighbors": neighbours}), data, seed=0)
+            np.testing.assert_array_equal(
+                predict(model, queries), predict_knn(model.params, queries)
+            )
 
 
 TREE_CFG = {"max_depth": 5, "min_samples_split": 2, "min_samples_leaf": 1}
@@ -264,6 +302,33 @@ class TestLinear:
             train("linear", Config({"C": 0.0}), data, seed=0)
 
 
+class TestLinearMatchesOneClassAtATime:
+    """Jointly trained classes carry the same bits as classes trained alone."""
+
+    @pytest.mark.parametrize("C", [1e-5, 1e-2, 1.0, 1e3, 1e5])
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "d, constant", [(1, False), (2, False), (5, False), (5, True)],
+        ids=["d1", "d2", "d5", "d5-constant-column"],
+    )
+    def test_weights_and_biases_equal_oracle(self, C, n_classes, d, constant):
+        rng = np.random.default_rng(100 * n_classes + d)
+        n = 90 + 11 * n_classes
+        features = rng.normal(size=(n, d)) * rng.uniform(0.5, 4.0, size=d)
+        if constant:
+            features[:, 2] = 7.0
+        # code 1 never occurs, so present classes and label codes differ
+        codes = np.array([0] + list(range(2, n_classes + 1)))
+        labels = codes[rng.integers(0, n_classes, size=n)]
+        labels[:n_classes] = codes
+        data = Dataset(features, labels, tuple(str(c) for c in range(n_classes + 1)))
+        model = train("linear", Config({"C": C}), data, seed=0)
+        weights, biases = train_linear(C, data)
+        # C = 1e-5 makes the weight decay diverge, so NaN bits must match too
+        assert model.params["weights"].tobytes() == weights.tobytes()
+        assert model.params["biases"].tobytes() == biases.tobytes()
+
+
 class TestTrainFrontDoor:
     def test_unknown_algorithm_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
@@ -300,6 +365,17 @@ class TestTrainFrontDoor:
         a = predict(train(algo, Config(cfg), data, seed=0), queries)
         b = predict(train(algo, Config(cfg), data, seed=0), queries)
         np.testing.assert_array_equal(a, b)
+
+    def test_non_finite_features_rejected(self):
+        data = blob_dataset([(0, 0), (4, 4)], 10, 1.0, seed=1)
+        model = train("knn", Config({"n_neighbors": 3}), data, seed=0)
+        for value in (np.nan, np.inf, -np.inf):
+            features = data.features.copy()
+            features[3, 1] = value
+            with pytest.raises(ValueError, match="finite"):
+                Dataset(features, data.labels, data.label_names)
+            with pytest.raises(ValueError, match="finite"):
+                predict(model, features)
 
     def test_feature_dimension_mismatch_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 10, 1.0, seed=1)
