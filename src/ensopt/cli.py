@@ -14,10 +14,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
-
-import numpy as np
 
 from . import artifact as artifact_io
 from .data import DataError, load_csv, make_split, merge_with_test
@@ -34,17 +32,24 @@ from .optimizer import (
     select_best,
 )
 from .stats import (
+    NEMENYI_Q,
     ResultTable,
     average_errors,
     friedman,
     nemenyi_cd,
     pairwise_report,
     rank_groups,
-    rankdata,
+    repetition_ranks,
 )
 from .surrogate import NumericalError
 
-METHODS = ("bo-best", "bo-post", "eo", "eo-post")
+# each method: the engine that runs it and the ``final`` entry it reports
+METHODS = {
+    "bo-best": ("bo", "best"),
+    "bo-post": ("bo", "post"),
+    "eo": ("eo", "ensemble"),
+    "eo-post": ("eo", "post"),
+}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,7 +119,7 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.method not in METHODS:
-            raise UsageError(f"config field 'method' must be one of {METHODS}")
+            raise UsageError(f"config field 'method' must be one of {tuple(METHODS)}")
         _check_int("budget", self.budget, 1)
         _check_int("seed", self.seed, 0)
         _check_int("init", self.init, 1)
@@ -209,7 +214,8 @@ def execute_run(config: RunConfig) -> dict[str, Any]:
     evaluator = CrossValEvaluator(config.algorithms, data, plan, config.seed)
     settings = _settings(config)
 
-    if config.method in ("bo-best", "bo-post"):
+    engine, key = METHODS[config.method]
+    if engine == "bo":
         history, run_artifact = run_bo(
             space, evaluator, config.budget, config.init, config.seed, settings
         )
@@ -253,8 +259,7 @@ def execute_run(config: RunConfig) -> dict[str, Any]:
     run_artifact.final = final
     artifact_io.save_artifact(config.output_dir, run_artifact, history)
 
-    key = {"bo-best": "best", "bo-post": "post", "eo": "ensemble", "eo-post": "post"}
-    error = final[key[config.method]]["test_error"]
+    error = final[key]["test_error"]
     return {
         "method": config.method,
         "dataset": os.path.splitext(os.path.basename(config.dataset))[0],
@@ -318,7 +323,7 @@ def _format_matrix(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.alpha not in (0.05, 0.10):
+    if args.alpha not in NEMENYI_Q:
         raise UsageError("--alpha must be 0.05 or 0.10")
     try:
         table = ResultTable.from_csv(args.results)
@@ -329,13 +334,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     means = average_errors(table)
     report = pairwise_report(table)
     k, n_datasets = means.shape
-
-    # ranks from per-dataset means, and ranks averaged over repetitions
-    rep_ranks = np.zeros(k)
-    for j in range(n_datasets):
-        for r in range(table.errors.shape[2]):
-            rep_ranks += rankdata(table.errors[:, j, r])
-    rep_ranks /= n_datasets * table.errors.shape[2]
+    rep_ranks = repetition_ranks(table)
 
     rows = []
     for i, m in enumerate(table.methods):
@@ -431,36 +430,34 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _batch_worker(doc_json: str, seed: int) -> list[tuple[str, str, str, float]]:
-    doc = json.loads(doc_json)
-    doc["seed"] = seed
-    doc["output_dir"] = os.path.join(doc["output_dir"], f"seed_{seed}")
-    config = RunConfig.from_dict(doc)
+def _batch_worker(config: RunConfig) -> list[tuple[str, str, str, float]]:
+    """One seed's results rows: every method its engine's run reports."""
     summary = execute_run(config)
-    final = summary["final"]
-    if config.method in ("bo-best", "bo-post"):
-        pairs = [("bo-best", "best"), ("bo-post", "post")]
-    else:
-        pairs = [("eo", "ensemble"), ("eo-post", "post")]
+    engine = METHODS[config.method][0]
     return [
-        (method, summary["dataset"], str(seed), final[key]["test_error"])
-        for method, key in pairs
+        (method, summary["dataset"], str(config.seed), summary["final"][key]["test_error"])
+        for method, (method_engine, key) in METHODS.items()
+        if method_engine == engine
     ]
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     config = RunConfig.from_file(args.config)  # fail fast on bad configs
     seeds = _parse_seeds(args.seeds)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc_json = json.dumps(json.load(fh))
-    jobs = args.jobs or min(len(seeds), os.cpu_count() or 1)
+    configs = [
+        replace(config, seed=s, output_dir=os.path.join(config.output_dir, f"seed_{s}"))
+        for s in seeds
+    ]
+    jobs = min(args.jobs or os.cpu_count() or 1, len(seeds))
     rows: list[tuple[str, str, str, float]] = []
-    if jobs <= 1:
-        for seed in seeds:
-            rows.extend(_batch_worker(doc_json, seed))
+    if jobs == 1:
+        for seed_config in configs:
+            rows.extend(_batch_worker(seed_config))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_batch_worker, doc_json, s): s for s in seeds}
+            futures = [pool.submit(_batch_worker, c) for c in configs]
             for fut in concurrent.futures.as_completed(futures):
                 rows.extend(fut.result())
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
@@ -500,7 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--config", required=True)
     p_batch.add_argument("--seeds", required=True, help="e.g. 1..10 or 1,2,5")
     p_batch.add_argument("--results", required=True, help="results CSV to append to")
-    p_batch.add_argument("--jobs", type=int, default=None)
+    p_batch.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes, at least 1 (default: one per CPU); never more than seeds",
+    )
     p_batch.set_defaults(func=cmd_batch)
     return parser
 

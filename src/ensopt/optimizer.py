@@ -1,10 +1,12 @@
-"""Sequential optimization loops over classifier configurations.
+"""The sequential optimization loop over classifier configurations.
 
-``run_bo`` tunes for the best single model: the surrogate regresses each
-configuration's own validation error.  ``run_eo`` tunes for the ensemble:
-one slot is vacated per iteration in round-robin order, the surrogate
-regresses the loss of the remaining ensemble joined with each known model,
-and the freshly trained model competes for the vacated slot.
+``run_eo`` tunes for the ensemble: one slot is vacated per iteration in
+round-robin order, the surrogate regresses the loss of the remaining
+ensemble joined with each known model, and the freshly trained model
+competes for the vacated slot.  ``run_bo`` tunes for the best single model
+and is implemented as the one-slot case of that loop: with one slot and the
+zero-one loss the vacated ensemble is always empty, so the surrogate
+regresses each configuration's own validation error.
 """
 
 from __future__ import annotations
@@ -260,43 +262,16 @@ def run_bo(
 
     The first ``init`` iterations draw uniform configurations; afterwards the
     surrogate is refit from scratch each iteration on all observed losses and
-    the expected-improvement maximizer is evaluated next.
+    the expected-improvement maximizer is evaluated next.  This is ``run_eo``
+    with one slot and the zero-one loss: the vacated ensemble is always
+    empty, so each model's ensemble-aware loss is its own validation error.
+    Only the fields that have no meaning without an ensemble are cleared.
     """
-    if init < 1 or budget < init:
-        raise ValueError("need budget >= init >= 1")
-    settings = settings or SearchSettings()
-    rng = np.random.default_rng(seed)
-    history = History(evaluator.labels_val, evaluator.labels_test, evaluator.n_labels)
-    artifact = RunArtifact(
-        engine="bo",
-        budget=budget,
-        init=init,
-        seed=seed,
-        loss="zero_one",
-        space=space.to_dict(),
-        n_labels=evaluator.n_labels,
-    )
-    for i in range(budget):
-        losses = history.val_losses()
-        gp_samples = None
-        incumbent = None
-        if i < init:
-            u = sample(space, rng)
-        else:
-            u, gp_samples, incumbent = _propose(space, history.points(), losses, settings, rng)
-        config = decode(u, space)
-        val_row, test_row, failed = _safe_evaluate(evaluator, config, u, seed, i)
-        history.append(config, u, val_row, test_row, degenerate=failed)
-        artifact.iterations.append(
-            IterationLog(
-                iteration=i,
-                point=tuple(float(x) for x in u),
-                observation_digest=digest_vector(losses),
-                incumbent=incumbent,
-                gp_samples=gp_samples,
-                degenerate=failed,
-            )
-        )
+    history, _, artifact = run_eo(space, evaluator, budget, 1, "zero_one", init, seed, settings)
+    artifact.engine = "bo"
+    artifact.ensemble_size = None
+    for log in artifact.iterations:
+        log.slot = log.ensemble = None
     return history, artifact
 
 

@@ -93,6 +93,14 @@ def average_errors(table: ResultTable) -> np.ndarray:
     return table.errors.mean(axis=2)
 
 
+def repetition_ranks(table: ResultTable) -> np.ndarray:
+    """Each method's rank within every (dataset, repetition) cell, averaged.
+
+    Ranks are multiples of 0.5, so the sum is exact in any order.
+    """
+    return rankdata(table.errors, axis=0).mean(axis=(1, 2))
+
+
 @dataclass
 class WilcoxonResult:
     statistic: float

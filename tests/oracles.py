@@ -6,6 +6,9 @@ prior density and per-fold loss are the plain formulas the vectorized code
 paths must agree with.  The learner and cross-validation references are the
 straightforward loops the fast paths in ``ensopt.learners`` and
 ``ensopt.data`` replaced; the tests require their outputs bit for bit.
+``run_bo`` is the stand-alone single-model loop that ``ensopt.optimizer.run_bo``
+replaced by delegating to the one-slot ensemble loop; the tests require the
+same history and the same artifact.
 """
 
 from __future__ import annotations
@@ -19,13 +22,23 @@ from scipy.special import ndtr
 from ensopt.acquisition import INV_SQRT_2PI, VARIANCE_FLOOR
 from ensopt.data import SplitPlan
 from ensopt.ensemble import PredictionMatrix
-from ensopt.hyperspace import Config
+from ensopt.hyperspace import Config, SearchSpace, decode, sample
 from ensopt.learners import (
     LINEAR_ITERATIONS,
     Dataset,
     _standardize_stats,
     predict,
     train,
+)
+from ensopt.optimizer import (
+    Evaluator,
+    History,
+    IterationLog,
+    RunArtifact,
+    SearchSettings,
+    _propose,
+    _safe_evaluate,
+    digest_vector,
 )
 from ensopt.surrogate import HALF_LOG_2PI, SQRT5, GpHyperparams, LogNormalPrior
 
@@ -169,3 +182,50 @@ def cross_val_predictions(
     final = train(algo, config, data.subset(nontest), seed)
     test_row = predict(final, data.features[plan.test])
     return val_row, test_row
+
+
+def run_bo(
+    space: SearchSpace,
+    evaluator: Evaluator,
+    budget: int,
+    init: int = 5,
+    seed: int = 0,
+    settings: SearchSettings | None = None,
+) -> tuple[History, RunArtifact]:
+    """Single-model GP search as its own loop, on each model's validation error."""
+    if init < 1 or budget < init:
+        raise ValueError("need budget >= init >= 1")
+    settings = settings or SearchSettings()
+    rng = np.random.default_rng(seed)
+    history = History(evaluator.labels_val, evaluator.labels_test, evaluator.n_labels)
+    artifact = RunArtifact(
+        engine="bo",
+        budget=budget,
+        init=init,
+        seed=seed,
+        loss="zero_one",
+        space=space.to_dict(),
+        n_labels=evaluator.n_labels,
+    )
+    for i in range(budget):
+        losses = history.val_losses()
+        gp_samples = None
+        incumbent = None
+        if i < init:
+            u = sample(space, rng)
+        else:
+            u, gp_samples, incumbent = _propose(space, history.points(), losses, settings, rng)
+        config = decode(u, space)
+        val_row, test_row, failed = _safe_evaluate(evaluator, config, u, seed, i)
+        history.append(config, u, val_row, test_row, degenerate=failed)
+        artifact.iterations.append(
+            IterationLog(
+                iteration=i,
+                point=tuple(float(x) for x in u),
+                observation_digest=digest_vector(losses),
+                incumbent=incumbent,
+                gp_samples=gp_samples,
+                degenerate=failed,
+            )
+        )
+    return history, artifact

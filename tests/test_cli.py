@@ -483,6 +483,51 @@ class TestBatchCommand:
             rows = fh.read().strip().splitlines()[1:]
         assert {r.split(",")[0] for r in rows} == {"eo", "eo-post"}
 
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys):
+        cfg, doc = base_config(tmp_path, output_dir=str(tmp_path / "runs"))
+        results = str(tmp_path / "results.csv")
+        for jobs in ("0", "-1"):
+            code = cli.main([
+                "batch", "--config", cfg, "--seeds", "1",
+                "--results", results, "--jobs", jobs,
+            ])
+            assert code == 1
+            assert "--jobs" in capsys.readouterr().err
+        assert not os.path.exists(doc["output_dir"])
+        assert not os.path.exists(results)
+
+    def test_jobs_capped_at_seed_count(self, tmp_path, capsys, monkeypatch):
+        recorded = []
+
+        class InlinePool:
+            """Records its size and runs each task in this process."""
+
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = cli.concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg, _ = base_config(
+            tmp_path, budget=3, init=3, output_dir=str(tmp_path / "runs")
+        )
+        results = str(tmp_path / "results.csv")
+        assert cli.main([
+            "batch", "--config", cfg, "--seeds", "1,2",
+            "--results", results, "--jobs", "8",
+        ]) == 0
+        assert recorded == [2]
+        assert "wrote 4 rows for 2 seeds" in capsys.readouterr().out
+
     def test_bad_seed_spec_is_usage_error(self, tmp_path, capsys):
         cfg, _ = base_config(tmp_path)
         code = cli.main([

@@ -7,6 +7,7 @@ import pytest
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "ensopt")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +39,57 @@ def test_detector_flags_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), "r", encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Private functions and classes (``_name``, not dunder) named nowhere else.
+
+    ``sources`` maps module names to source text.  A definition counts as used
+    when some name or attribute outside its own body spells its name, in any
+    of the modules; a recursive call alone does not keep it alive.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    references = [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            name = getattr(node, "name", "")
+            if not isinstance(node, DEFINITIONS) or not name.startswith("_"):
+                continue
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(ref == name and nid not in inside for ref, nid in references):
+                dead.append(f"{module}:{name} (line {node.lineno})")
+    return dead
+
+
+def test_detector_flags_an_unused_private_helper():
+    helpers = (
+        "def _used():\n    return 1\n"
+        "def _dead():\n    return 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+        "class _Hidden:\n    def _method(self):\n        return self._other()\n"
+        "    def _other(self):\n        return 0\n"
+        "    def __repr__(self):\n        return ''\n"
+    )
+    caller = "from .helpers import _used\nVALUE = _used()\n"
+    assert unreferenced_private_definitions({"helpers": helpers, "caller": caller}) == [
+        "helpers:_dead (line 3)",
+        "helpers:_recursive (line 5)",
+        "helpers:_Hidden (line 7)",
+        "helpers:_method (line 8)",
+    ]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), "r", encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unreferenced_private_definitions(sources) == []

@@ -1,7 +1,10 @@
-"""Tests for the sequential optimization loops and run artifacts."""
+"""Tests for the sequential optimization loop and run artifacts."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from oracles import run_bo as stand_alone_bo
 
 from ensopt import cli
 from ensopt.artifact import _read_int_rows, _write_int_rows, load_artifact, save_artifact
@@ -65,6 +68,34 @@ class PointHashStub:
     def __call__(self, config, point, seed, iteration):
         local = np.random.default_rng(int(point[0] * 1e9) % (2**32))
         return local.integers(0, 2, size=self.n), local.integers(0, 2, size=3)
+
+
+class RaisingPointHashStub(PointHashStub):
+    """``PointHashStub`` that fails on every third iteration."""
+
+    def __call__(self, config, point, seed, iteration):
+        if iteration % 3 == 2:
+            raise RuntimeError("training blew up")
+        return super().__call__(config, point, seed, iteration)
+
+
+def assert_same_run(got, want):
+    """Two (History, RunArtifact) results agree record for record and field for field."""
+    (got_hist, got_art), (want_hist, want_art) = got, want
+    assert len(got_hist) == len(want_hist)
+    for rg, rw in zip(got_hist.records, want_hist.records):
+        assert rg.id == rw.id
+        assert rg.config.values == rw.config.values
+        assert rg.point.tobytes() == rw.point.tobytes()
+        assert rg.val_row.tobytes() == rw.val_row.tobytes()
+        assert rg.test_row.tobytes() == rw.test_row.tobytes()
+        assert rg.val_loss.hex() == rw.val_loss.hex()
+        assert rg.degenerate == rw.degenerate
+    assert [log.to_dict() for log in got_art.iterations] == [
+        log.to_dict() for log in want_art.iterations
+    ]
+    for f in dataclasses.fields(want_art):
+        assert getattr(got_art, f.name) == getattr(want_art, f.name), f.name
 
 
 class TestRunBo:
@@ -164,6 +195,19 @@ class TestRunEo:
             assert lb.observation_digest == le.observation_digest
             assert lb.incumbent == le.incumbent
         assert ensemble.slots == (select_best(eo_hist),)
+        # run_bo is that one-slot loop: it must reproduce the stand-alone
+        # single-model loop it replaced, degenerate models included
+        cases = [
+            (PointHashStub, 20, 5, 11),
+            (RaisingPointHashStub, 12, 4, 3),
+            (PointHashStub, 6, 6, 2),
+            (RaisingPointHashStub, 6, 1, 9),
+        ]
+        for stub, budget, init, seed in cases:
+            assert_same_run(
+                run_bo(UNIT, stub(), budget, init=init, seed=seed, settings=FAST),
+                stand_alone_bo(UNIT, stub(), budget, init=init, seed=seed, settings=FAST),
+            )
 
     def test_hand_traced_round_robin(self):
         # two samples, two slots: every loss is a dyadic rational, so the

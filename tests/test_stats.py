@@ -17,6 +17,7 @@ from ensopt.stats import (
     pairwise_report,
     rank_groups,
     ranks_from_errors,
+    repetition_ranks,
     wilcoxon_signed_rank,
 )
 
@@ -299,6 +300,21 @@ class TestPairwiseReport:
         # mean ranks: a = (1+1+2)/3, b = (2+2+1)/3
         assert report.mean_ranks[0] < report.mean_ranks[1]
         assert report.row_worse[1, 0]
+
+
+class TestRepetitionRanks:
+    def test_matches_cell_by_cell_midranks_bitwise(self):
+        rng = np.random.default_rng(17)
+        # coarse errors force ties inside many (dataset, repetition) cells
+        errors = rng.integers(0, 4, size=(5, 7, 3)) / 8.0
+        methods = tuple(f"m{i}" for i in range(5))
+        table = ResultTable(errors, methods, tuple(f"d{j}" for j in range(7)))
+        expected = np.zeros(5)
+        for j in range(7):
+            for r in range(3):
+                expected += np.array(oracle_midranks(list(errors[:, j, r])))
+        expected /= 7 * 3
+        assert repetition_ranks(table).tobytes() == expected.tobytes()
 
 
 class TestResultTable:
