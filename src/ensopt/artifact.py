@@ -4,6 +4,15 @@ A run directory holds ``run.json`` (metadata, per-iteration audit log and
 final selections), the prediction rows of every trained model aligned with
 ``history/configs.json``, and the labels of both evaluation splits.  The
 files are sufficient to rebuild selections without retraining anything.
+
+Prediction and label files hold integer rows: one model (or one label
+vector) per line, label codes separated by commas, every line ending in
+``\n``.  Codes of at most ten classes are one digit each, so such a file is
+a fixed grid of bytes; it is written and read as one ``uint8`` buffer, and
+anything else takes the general text path.  Loading rejects a code outside
+``[0, n_labels)`` with ``ValueError``.  Every file is written to a temporary
+name beside it and moved into place, so an interrupted save leaves either
+the previous file or the new one.
 """
 
 from __future__ import annotations
@@ -27,19 +36,64 @@ VAL_PREDICTIONS_FILE = os.path.join("history", "predictions_val.csv")
 TEST_PREDICTIONS_FILE = os.path.join("history", "predictions_test.csv")
 VAL_LABELS_FILE = "labels_val.csv"
 TEST_LABELS_FILE = "labels_test.csv"
+_ZERO, _COMMA, _NEWLINE = ord("0"), ord(","), ord("\n")
+
+
+def _replace_file(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file and ``os.replace``."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_int_rows(path: str, rows: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(",".join(map(str, row)) + "\n" for row in np.atleast_2d(rows).tolist())
+    """One line per row, codes joined by commas; one-digit codes go out as a byte grid."""
+    rows = np.atleast_2d(rows)
+    if rows.size and rows.dtype.kind in "iu" and rows.min() >= 0 and rows.max() <= 9:
+        grid = np.full((rows.shape[0], 2 * rows.shape[1]), _COMMA, dtype=np.uint8)
+        grid[:, 0::2] = rows
+        grid[:, 0::2] += _ZERO
+        grid[:, -1] = _NEWLINE
+        data = grid.tobytes()
+    else:
+        data = "".join(",".join(map(str, row)) + "\n" for row in rows.tolist()).encode("utf-8")
+    _replace_file(path, data)
+
+
+def _digit_rows(data: bytes) -> np.ndarray | None:
+    """The rows of a file of one-digit codes, or ``None`` if it is not one."""
+    width = data.find(b"\n") + 1
+    if width == 0 or width % 2 or len(data) % width:
+        return None
+    grid = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    if (grid[:, -1] != _NEWLINE).any() or (grid[:, 1:-1:2] != _COMMA).any():
+        return None
+    digits = grid[:, 0::2] - np.uint8(_ZERO)
+    if (digits > 9).any():
+        return None
+    return digits.astype(np.int64)
 
 
 def _read_int_rows(path: str) -> np.ndarray:
     """Comma-separated integer rows as a 2-d array; ``ValueError`` if ragged or non-integer."""
+    with open(path, "rb") as fh:
+        rows = _digit_rows(fh.read())
+    if rows is not None:
+        return rows
     with warnings.catch_warnings():
         # an empty file reads as zero rows; callers that need rows check the shape
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
+
+
+def _write_json(path: str, doc: Any) -> None:
+    _replace_file(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _read_label_row(path: str) -> np.ndarray:
@@ -55,7 +109,7 @@ def space_digest(space_doc: dict[str, Any]) -> str:
 
 
 def save_artifact(directory: str, artifact: RunArtifact, history: History) -> None:
-    """Write one run directory; overwrites files already present."""
+    """Write one run directory; replaces files already present, each atomically."""
     os.makedirs(os.path.join(directory, "history"), exist_ok=True)
     doc = {
         "engine": artifact.engine,
@@ -71,9 +125,7 @@ def save_artifact(directory: str, artifact: RunArtifact, history: History) -> No
         "final": artifact.final,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    with open(os.path.join(directory, RUN_FILE), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(directory, RUN_FILE), doc)
     configs = [
         {
             "id": r.id,
@@ -84,9 +136,7 @@ def save_artifact(directory: str, artifact: RunArtifact, history: History) -> No
         }
         for r in history.records
     ]
-    with open(os.path.join(directory, CONFIGS_FILE), "w", encoding="utf-8") as fh:
-        json.dump(configs, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(directory, CONFIGS_FILE), configs)
     _write_int_rows(
         os.path.join(directory, VAL_PREDICTIONS_FILE),
         np.array([r.val_row for r in history.records]),
@@ -124,7 +174,16 @@ def load_artifact(directory: str) -> LoadedRun:
     labels_test = _read_label_row(os.path.join(directory, TEST_LABELS_FILE))
     if val_rows.shape[0] != len(configs) or test_rows.shape[0] != len(configs):
         raise ValueError(f"{directory}: prediction rows do not match configs.json")
-    history = History(labels_val, labels_test, int(run["n_labels"]))
+    n_labels = int(run["n_labels"])
+    for name, codes in (
+        (VAL_PREDICTIONS_FILE, val_rows),
+        (TEST_PREDICTIONS_FILE, test_rows),
+        (VAL_LABELS_FILE, labels_val),
+        (TEST_LABELS_FILE, labels_test),
+    ):
+        if codes.size and (codes.min() < 0 or codes.max() >= n_labels):
+            raise ValueError(f"{directory}: {name} holds codes outside [0, {n_labels})")
+    history = History(labels_val, labels_test, n_labels)
     for entry, val_row, test_row in zip(configs, val_rows, test_rows):
         record = history.append(
             Config(dict(entry["values"])),

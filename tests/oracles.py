@@ -8,12 +8,16 @@ straightforward loops the fast paths in ``ensopt.learners`` and
 ``ensopt.data`` replaced; the tests require their outputs bit for bit.
 ``run_bo`` is the stand-alone single-model loop that ``ensopt.optimizer.run_bo``
 replaced by delegating to the one-slot ensemble loop; the tests require the
-same history and the same artifact.
+same history and the same artifact.  ``write_int_rows`` and ``read_int_rows``
+are the text codec of integer rows that ``ensopt.artifact`` replaced by a
+byte-level one; the tests require the same file bytes and the same arrays or
+exception types.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Any, Sequence
 
 import numpy as np
@@ -229,3 +233,16 @@ def run_bo(
             )
         )
     return history, artifact
+
+
+def write_int_rows(path: str, rows: np.ndarray) -> None:
+    """One line per row, values joined by commas, each formatted with ``str``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in np.atleast_2d(rows).tolist())
+
+
+def read_int_rows(path: str) -> np.ndarray:
+    """Comma-separated integer rows parsed by ``np.loadtxt``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2, comments=None)

@@ -343,6 +343,25 @@ class TestPostCommand:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "name",
+        [os.path.join("history", "predictions_val.csv"), "labels_test.csv"],
+        ids=["prediction", "label"],
+    )
+    def test_code_outside_label_set_is_data_error(self, tmp_path, capsys, name):
+        cfg, doc = base_config(tmp_path, budget=4, init=4)
+        assert cli.main(["run", "--config", cfg]) == 0
+        capsys.readouterr()
+        path = os.path.join(doc["output_dir"], name)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("7" + text[1:])
+        assert cli.main(["post", "--artifact", doc["output_dir"], "--size", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "outside [0, 2)" in err
+        assert "Traceback" not in err
+
     def test_invalid_sizes_are_usage_errors(self, tmp_path, capsys):
         assert cli.main(["post", "--artifact", "x", "--size", "0"]) == 1
         assert cli.main(["post", "--artifact", "x", "--size", "2", "--warm", "5"]) == 1

@@ -1,13 +1,23 @@
 """Tests for the sequential optimization loop and run artifacts."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
+from oracles import read_int_rows as text_read_int_rows
 from oracles import run_bo as stand_alone_bo
+from oracles import write_int_rows as text_write_int_rows
 
+from ensopt import artifact as artifact_io
 from ensopt import cli
-from ensopt.artifact import _read_int_rows, _write_int_rows, load_artifact, save_artifact
+from ensopt.artifact import (
+    _digit_rows,
+    _read_int_rows,
+    _write_int_rows,
+    load_artifact,
+    save_artifact,
+)
 from ensopt.ensemble import greedy_select, zero_one_ensemble_loss
 from ensopt.hyperspace import ParamSpec, SearchSpace
 from ensopt.optimizer import (
@@ -24,6 +34,71 @@ from ensopt.optimizer import (
 UNIT = SearchSpace((ParamSpec("u", "continuous", 0.0, 1.0),))
 
 FAST = SearchSettings(burn_in=8, gp_samples=3, thin=1, candidates=200, refinements=4)
+
+
+def codec_matrices() -> dict[str, np.ndarray]:
+    """Integer-row matrices that exercise both the byte grid and the text path."""
+    rng = np.random.default_rng(5)
+    shapes = {"1x1": (1, 1), "1xN": (1, 7), "Nx1": (6, 1), "NxM": (5, 9)}
+    cases = {}
+    for shape_id, shape in shapes.items():
+        for dtype in (np.int64, np.int32, np.uint8):
+            digits = rng.integers(0, 10, size=shape).astype(dtype)
+            cases[f"{shape_id}-digits-{dtype.__name__}"] = digits
+            for extra in (10, 12, -1):
+                if extra < 0 and dtype is np.uint8:
+                    continue
+                with_extra = digits.copy()
+                with_extra.flat[rng.integers(digits.size)] = extra
+                cases[f"{shape_id}-{extra}-{dtype.__name__}"] = with_extra
+    cases["all_digits"] = np.arange(10).reshape(2, 5)
+    cases["labels_1d"] = np.array([2, 0, 1])
+    cases["empty_history"] = np.array([])
+    cases["no_rows"] = np.zeros((0, 3), dtype=np.int64)
+    cases["no_columns"] = np.zeros((3, 0), dtype=np.int64)
+    cases["bool"] = np.array([[True, False], [False, True]])
+    cases["float"] = np.array([[1.0, 2.0]])
+    return cases
+
+
+CODEC_MATRICES = codec_matrices()
+# text files the byte grid must leave to np.loadtxt, with its result or error
+FALLBACK_TEXTS = {
+    "crlf": "1,2\r\n",
+    "no_final_newline": "1,2\n3,4",
+    "trailing_comma_unterminated": "1,2\n3,4,",
+    "two_digit": "10,20\n",
+    "blank_trailing_line": "1,2\n\n",
+    "blank_first_line": "\n1,2\n",
+    "semicolon": "1;2\n",
+    "space": "1, 2\n",
+    "ragged": "1,2\n3\n",
+    "word": "1,x\n",
+    "float": "1,1.5\n",
+    "empty_token": "1,2,\n",
+    "comment": "#1,2\n",
+    "minus": "-1,2\n",
+    "empty": "",
+    "blank": "\n",
+}
+
+
+def read_outcome(read, path):
+    """The array a reader returns, or the type of the exception it raises."""
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 class RowStub:
@@ -405,6 +480,98 @@ class TestArtifactRoundTrip:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError):
             _read_int_rows(str(path))
+
+    @pytest.mark.parametrize("case", sorted(CODEC_MATRICES))
+    def test_writer_bytes_match_text_codec(self, tmp_path, case):
+        rows = CODEC_MATRICES[case]
+        fast, text = tmp_path / "fast.csv", tmp_path / "text.csv"
+        _write_int_rows(str(fast), rows)
+        text_write_int_rows(str(text), rows)
+        assert fast.read_bytes() == text.read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(CODEC_MATRICES))
+    def test_reader_matches_text_codec_on_written_files(self, tmp_path, case):
+        path = str(tmp_path / "rows.csv")
+        text_write_int_rows(path, CODEC_MATRICES[case])
+        assert_same_outcome(
+            read_outcome(_read_int_rows, path), read_outcome(text_read_int_rows, path)
+        )
+
+    @pytest.mark.parametrize("case", sorted(FALLBACK_TEXTS))
+    def test_reader_matches_text_codec_on_other_files(self, tmp_path, case):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(FALLBACK_TEXTS[case].encode("utf-8"))
+        assert _digit_rows(path.read_bytes()) is None
+        assert_same_outcome(
+            read_outcome(_read_int_rows, str(path)), read_outcome(text_read_int_rows, str(path))
+        )
+
+    @pytest.mark.parametrize(
+        "case", sorted(c for c in CODEC_MATRICES if "-digits-" in c or c == "all_digits")
+    )
+    def test_one_digit_files_take_the_byte_grid(self, tmp_path, case):
+        path = tmp_path / "rows.csv"
+        text_write_int_rows(str(path), CODEC_MATRICES[case])
+        rows = _digit_rows(path.read_bytes())
+        assert rows is not None and rows.dtype == np.int64
+        np.testing.assert_array_equal(rows, np.atleast_2d(CODEC_MATRICES[case]))
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        history, artifact = run_bo(UNIT, PointHashStub(), 4, init=4, seed=3, settings=FAST)
+        save_artifact(str(out), artifact, history)
+        target = out / "history" / "predictions_val.csv"
+        before = target.read_bytes()
+        names = sorted(p.relative_to(out) for p in out.rglob("*"))
+        history, artifact = run_bo(UNIT, PointHashStub(), 5, init=5, seed=4, settings=FAST)
+        save_artifact(str(tmp_path / "other"), artifact, history)
+        assert (tmp_path / "other" / "history" / "predictions_val.csv").read_bytes() != before
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError("no space left on device")
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if os.path.basename(path).startswith("predictions_val.csv"):
+                return HalfWriter(fh)
+            return fh
+
+        monkeypatch.setattr(artifact_io, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_artifact(str(out), artifact, history)
+        assert target.read_bytes() == before
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == names
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "history/predictions_val.csv",
+            "history/predictions_test.csv",
+            "labels_val.csv",
+            "labels_test.csv",
+        ],
+    )
+    def test_codes_outside_label_set_rejected(self, tmp_path, name):
+        history, artifact = run_bo(UNIT, PointHashStub(), 4, init=4, seed=3, settings=FAST)
+        out = tmp_path / "run"
+        save_artifact(str(out), artifact, history)
+        path = out / name
+        text = path.read_text(encoding="utf-8")
+        path.write_text("2" + text[1:], encoding="utf-8")
+        with pytest.raises(ValueError, match="outside"):
+            load_artifact(str(out))
 
     def test_malformed_prediction_file_is_a_data_error(self, tmp_path, capsys):
         history, artifact = run_bo(UNIT, PointHashStub(), 4, init=4, seed=3, settings=FAST)
