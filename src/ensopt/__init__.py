@@ -4,15 +4,12 @@ from .ensemble import (
     Ensemble,
     PredictionMatrix,
     VoteState,
-    eval_with_candidate,
     greedy_select,
-    margin_loss,
     observation_vector,
     round_robin_replace,
-    squared_margin_loss,
     zero_one_ensemble_loss,
 )
-from .hyperspace import Config, ParamSpec, SearchSpace, decode, encode, load_space, sample
+from .hyperspace import Config, ParamSpec, SearchSpace, decode, load_space, sample
 from .optimizer import (
     CrossValEvaluator,
     History,
@@ -37,12 +34,9 @@ __all__ = [
     "SearchSpace",
     "VoteState",
     "decode",
-    "encode",
-    "eval_with_candidate",
     "evaluate_on_test",
     "greedy_select",
     "load_space",
-    "margin_loss",
     "observation_vector",
     "post_hoc",
     "round_robin_replace",
@@ -50,7 +44,6 @@ __all__ = [
     "run_eo",
     "sample",
     "select_best",
-    "squared_margin_loss",
     "zero_one_ensemble_loss",
 ]
 

@@ -10,7 +10,7 @@ vector) per line, label codes separated by commas, every line ending in
 ``\n``.  Codes of at most ten classes are one digit each, so such a file is
 a fixed grid of bytes; it is written and read as one ``uint8`` buffer, and
 anything else takes the general text path.  Loading rejects a code outside
-``[0, n_labels)`` with ``ValueError``.  Every file is written to a temporary
+``[0, n_labels)``, and JSON documents of the wrong shape, with ``ValueError``.  Every file is written to a temporary
 name beside it and moved into place, so an interrupted save leaves either
 the previous file or the new one.
 """
@@ -168,13 +168,32 @@ def load_artifact(directory: str) -> LoadedRun:
         run = json.load(fh)
     with open(os.path.join(directory, CONFIGS_FILE), "r", encoding="utf-8") as fh:
         configs = json.load(fh)
+    if not isinstance(run, dict):
+        raise ValueError(f"{directory}: {RUN_FILE} must hold a JSON object")
+    n_labels = run.get("n_labels")
+    if isinstance(n_labels, bool) or not isinstance(n_labels, int):
+        raise ValueError(f"{directory}: 'n_labels' must be an integer, got {n_labels!r}")
+    if not isinstance(configs, list) or not all(
+        isinstance(e, dict)
+        and isinstance(e.get("values"), dict)
+        and isinstance(e.get("point"), list)
+        and all(isinstance(x, (int, float)) for x in e["point"])
+        for e in configs
+    ):
+        raise ValueError(
+            f"{directory}: {CONFIGS_FILE} must list objects with a 'values' object "
+            "and a 'point' list of numbers"
+        )
+    try:
+        space = SearchSpace.from_dict(run["space"])
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"{directory}: malformed space in {RUN_FILE}: {exc!r}") from None
     val_rows = _read_int_rows(os.path.join(directory, VAL_PREDICTIONS_FILE))
     test_rows = _read_int_rows(os.path.join(directory, TEST_PREDICTIONS_FILE))
     labels_val = _read_label_row(os.path.join(directory, VAL_LABELS_FILE))
     labels_test = _read_label_row(os.path.join(directory, TEST_LABELS_FILE))
     if val_rows.shape[0] != len(configs) or test_rows.shape[0] != len(configs):
         raise ValueError(f"{directory}: prediction rows do not match configs.json")
-    n_labels = int(run["n_labels"])
     for name, codes in (
         (VAL_PREDICTIONS_FILE, val_rows),
         (TEST_PREDICTIONS_FILE, test_rows),
@@ -194,4 +213,4 @@ def load_artifact(directory: str) -> LoadedRun:
         )
         if record.id != entry["id"]:
             raise ValueError(f"{directory}: non-contiguous model ids in configs.json")
-    return LoadedRun(run=run, history=history, space=SearchSpace.from_dict(run["space"]))
+    return LoadedRun(run=run, history=history, space=space)

@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from . import artifact as artifact_io
 from .data import DataError, load_csv, make_split, merge_with_test
-from .ensemble import zero_one_ensemble_loss
+from .ensemble import LOSSES, zero_one_ensemble_loss
 from .hyperspace import load_space
 from .learners import ALGORITHMS, REQUIRED_PARAMS, default_space
 from .optimizer import (
@@ -106,6 +106,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise UsageError(f"config must be a JSON object, got {doc!r}")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
@@ -113,13 +115,29 @@ class RunConfig:
         for name in ("method", "dataset", "label_col", "output_dir", "budget"):
             if name not in doc:
                 raise UsageError(f"config field {name!r} is required")
-        cfg = cls(**{**doc, "algorithms": tuple(doc.get("algorithms", ALGORITHMS))})
+        algorithms = doc.get("algorithms", list(ALGORITHMS))
+        if not isinstance(algorithms, list):
+            raise UsageError(f"config field 'algorithms' must be a list, got {algorithms!r}")
+        cfg = cls(**{**doc, "algorithms": tuple(algorithms)})
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method not in METHODS:
             raise UsageError(f"config field 'method' must be one of {tuple(METHODS)}")
+        for name in ("dataset", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise UsageError(
+                    f"config field {name!r} must be a string, got {getattr(self, name)!r}"
+                )
+        if self.test_dataset is not None and not isinstance(self.test_dataset, str):
+            raise UsageError(
+                f"config field 'test_dataset' must be a string or null, got {self.test_dataset!r}"
+            )
+        if isinstance(self.label_col, bool) or not isinstance(self.label_col, (str, int)):
+            raise UsageError(
+                f"config field 'label_col' must be a column name or index, got {self.label_col!r}"
+            )
         _check_int("budget", self.budget, 1)
         _check_int("seed", self.seed, 0)
         _check_int("init", self.init, 1)
@@ -148,8 +166,8 @@ class RunConfig:
             )
         if self.space is not None:
             _check_space(self.space, self.algorithms)
-        if self.loss not in ("zero_one", "margin", "squared_margin"):
-            raise UsageError("config field 'loss' must name a known loss")
+        if self.loss not in LOSSES:
+            raise UsageError(f"config field 'loss' must be one of {LOSSES}")
         for group, knobs in (("gp", GP_KNOBS), ("acquisition", ACQUISITION_KNOBS)):
             values = getattr(self, group)
             if not isinstance(values, dict) or set(values) - set(knobs):
@@ -211,7 +229,7 @@ def execute_run(config: RunConfig) -> dict[str, Any]:
         data, fixed_test = merge_with_test(data, test_data)
     plan = make_split(data, config.test_fraction, config.folds, config.seed, fixed_test)
     space = load_space(config.space) if config.space else default_space(config.algorithms)
-    evaluator = CrossValEvaluator(config.algorithms, data, plan, config.seed)
+    evaluator = CrossValEvaluator(config.algorithms, data, plan)
     settings = _settings(config)
 
     engine, key = METHODS[config.method]

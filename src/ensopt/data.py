@@ -118,7 +118,6 @@ class SplitPlan:
 
     test: np.ndarray
     folds: tuple[np.ndarray, ...]
-    seed: int
 
     def non_test(self, n: int) -> np.ndarray:
         mask = np.ones(n, dtype=bool)
@@ -188,7 +187,6 @@ def make_split(
     return SplitPlan(
         test=test,
         folds=tuple(np.array(sorted(f), dtype=np.int64) for f in fold_lists),
-        seed=seed,
     )
 
 
@@ -197,7 +195,6 @@ def cross_val_predictions(
     config: Config,
     data: Dataset,
     plan: SplitPlan,
-    seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pooled out-of-fold predictions plus test predictions for one config.
 
@@ -208,17 +205,17 @@ def cross_val_predictions(
     """
     nontest = plan.non_test(data.n_samples)
     val_row = np.full(nontest.size, -1, dtype=np.int64)
-    for f_i, fold in enumerate(plan.folds):
+    for fold in plan.folds:
         if fold.size == 0:
             continue
         train_mask = np.ones(data.n_samples, dtype=bool)
         train_mask[plan.test] = False
         train_mask[fold] = False
         train_idx = np.flatnonzero(train_mask)
-        model = train(algo, config, data.subset(train_idx), seed, fold=f_i)
+        model = train(algo, config, data.subset(train_idx))
         # nontest is sorted, so searchsorted finds each fold index's position
         val_row[np.searchsorted(nontest, fold)] = predict(model, data.features[fold])
-    final = train(algo, config, data.subset(nontest), seed)
+    final = train(algo, config, data.subset(nontest))
     test_row = predict(final, data.features[plan.test])
     return val_row, test_row
 

@@ -4,21 +4,23 @@ Every trained model contributes one row of predictions per evaluation split.
 Ensembles are multisets of row ids (a model may occupy several slots), combined
 by unweighted majority vote with ties resolved toward the smallest label.
 
-The loss functions score one member list from scratch.  The observation
-vector, round-robin replacement and greedy selection instead keep the vote
-tallies of the fixed members in one :class:`VoteState` and score every
-candidate against them at once, so one greedy step costs O(pool·N) for N
-samples, independent of the ensemble size.
+A loss is one of the names in :data:`LOSSES`.  The observation vector,
+round-robin replacement and greedy selection keep the vote tallies of the
+fixed members in one :class:`VoteState`, whose :meth:`VoteState.score_all`
+scores every candidate against them at once, so one greedy step costs
+O(pool·N) for N samples, independent of the ensemble size.
+:func:`zero_one_ensemble_loss` scores one finished member list, as the final
+selections are reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-LossFn = Callable[[Sequence[int], "PredictionMatrix"], float]
+LOSSES = ("zero_one", "margin", "squared_margin")
 
 
 class PredictionMatrix:
@@ -98,13 +100,6 @@ def _votes_from_counts(counts: np.ndarray) -> np.ndarray:
     return np.argmax(counts, axis=0)
 
 
-def _correct_counts(members: Sequence[int], preds: PredictionMatrix) -> np.ndarray:
-    correct = np.zeros(preds.n_samples, dtype=np.int64)
-    for m in members:
-        correct += preds.rows[m] == preds.labels
-    return correct
-
-
 def zero_one_ensemble_loss(members: Sequence[int], preds: PredictionMatrix) -> float:
     """Fraction of samples the majority vote misclassifies."""
     if len(members) == 0:
@@ -118,74 +113,13 @@ def zero_one_ensemble_loss(members: Sequence[int], preds: PredictionMatrix) -> f
     return float(np.mean(votes != preds.labels))
 
 
-def _margin_loss_from_correct(correct: np.ndarray, k: int, n: int) -> float:
-    # (1 - margin) / 2 == (k - correct) / k; integer sums keep equal losses
-    # exactly equal in float, so argmin ties are well defined
-    return int(np.sum(k - correct)) / (n * k)
-
-
-def _squared_margin_loss_from_correct(correct: np.ndarray, k: int, n: int) -> float:
-    # (1 - margin)^2 / 4 == (k - correct)^2 / k^2
-    wrong = k - correct
-    return int(np.sum(wrong * wrong)) / (n * k * k)
-
-
-def margin_loss(members: Sequence[int], preds: PredictionMatrix) -> float:
-    """Mean of (1 - margin) / 2; linear in each member's own error."""
-    if len(members) == 0:
-        raise ValueError("cannot score an empty member list")
-    _check_members(members, preds)
-    correct = _correct_counts(members, preds)
-    return _margin_loss_from_correct(correct, len(members), preds.n_samples)
-
-
-def squared_margin_loss(members: Sequence[int], preds: PredictionMatrix) -> float:
-    """Mean of (1 - margin)^2 / 4; penalizes narrow-majority samples."""
-    if len(members) == 0:
-        raise ValueError("cannot score an empty member list")
-    _check_members(members, preds)
-    correct = _correct_counts(members, preds)
-    return _squared_margin_loss_from_correct(correct, len(members), preds.n_samples)
-
-
-LOSSES: dict[str, LossFn] = {
-    "zero_one": zero_one_ensemble_loss,
-    "margin": margin_loss,
-    "squared_margin": squared_margin_loss,
-}
-
-
-def resolve_loss(loss: str | LossFn) -> LossFn:
-    if callable(loss):
-        return loss
-    try:
-        return LOSSES[loss]
-    except KeyError:
-        raise ValueError(f"unknown loss {loss!r}") from None
-
-
-def eval_with_candidate(
-    ensemble: Ensemble,
-    candidate: int,
-    preds: PredictionMatrix,
-    loss: str | LossFn,
-) -> float:
-    """Loss of the ensemble's occupied slots with ``candidate`` appended.
-
-    With an empty ensemble this is the candidate's single-model loss.
-    """
-    loss_fn = resolve_loss(loss)
-    members = ensemble.members() + (candidate,)
-    return loss_fn(members, preds)
-
-
 class VoteState:
     """Vote tallies of a member multiset, scored against every candidate at once.
 
     ``counts[c, i]`` is the number of members voting label ``c`` on sample
     ``i`` and ``correct[i]`` the number voting the true label.  Entry ``j``
-    of :meth:`score_all` is bit-identical to ``loss(members + (candidates[j],),
-    preds)``, and costs O(N) per candidate instead of O(k·N).
+    of :meth:`score_all` is the loss of ``members + (candidates[j],)`` and
+    costs O(N) per candidate instead of O(k·N).
     """
 
     def __init__(self, preds: PredictionMatrix, members: Sequence[int] = ()):
@@ -208,15 +142,6 @@ class VoteState:
         self.correct += row == self.preds.labels
         self.members.append(int(h))
 
-    def remove(self, h: int) -> None:
-        """Drop one occurrence of ``h``; raises ``ValueError`` if absent."""
-        if int(h) not in self.members:
-            raise ValueError(f"model id {h} is not a member")
-        self.members.remove(int(h))
-        row = self.preds.rows[h]
-        self.counts[row, self._cols] -= 1
-        self.correct -= row == self.preds.labels
-
     def _miss_table(self) -> np.ndarray:
         """``(N, n_labels)`` table: does sample ``i`` miss after one more vote for ``c``?"""
         labels = self.preds.labels
@@ -227,44 +152,49 @@ class VoteState:
             self.counts[c] -= 1
         return table
 
-    def score_all(self, candidates: Sequence[int], loss: str | LossFn) -> np.ndarray:
-        """Loss of the members joined with each candidate, as one float64 vector."""
-        loss_fn = resolve_loss(loss)
+    def score_all(self, candidates: Sequence[int], loss: str) -> np.ndarray:
+        """Loss of the members joined with each candidate, as one float64 vector.
+
+        ``zero_one`` is the majority vote's error rate, ``margin`` the mean of
+        (1 - margin) / 2 and ``squared_margin`` the mean of (1 - margin)^2 / 4,
+        where a sample's margin is the members' average signed correctness.
+        Each entry is an integer count over an integer denominator, so equal
+        losses are equal floats and ``argmin`` ties are well defined.
+        """
+        if loss not in LOSSES:
+            raise ValueError(f"unknown loss {loss!r}")
         cands = np.asarray(candidates, dtype=np.intp)
         _check_members(cands, self.preds)
         n = self.preds.n_samples
         k = self.k + 1
-        if loss_fn is zero_one_ensemble_loss:
+        if loss == "zero_one":
             # flat index i * n_labels + label into the row-major miss table
             codes = np.take(self.preds.rows, cands, axis=0)
             codes += self._cols * self.preds.n_labels
             wrong = np.count_nonzero(self._miss_table().ravel().take(codes), axis=1)
             # a mean of 0/1 values is its integer count over N, exactly
             return wrong / n
-        if loss_fn is margin_loss or loss_fn is squared_margin_loss:
-            hits = np.take(self.preds.rows, cands, axis=0) == self.preds.labels
-            if loss_fn is margin_loss:
-                # sum(k - correct), with the candidate's hits added to correct
-                total = n * k - int(np.sum(self.correct)) - np.count_nonzero(hits, axis=1)
-                return total / (n * k)
-            wrong = k - self.correct  # per-sample wrong votes if the candidate misses
-            # sum((wrong - hit)^2) == sum(wrong^2) - hits @ (2 * wrong - 1) for 0/1 hits
-            total = int(np.sum(wrong * wrong)) - hits @ (2 * wrong - 1)
-            return total / (n * k * k)
-        base = tuple(self.members)
-        return np.array([loss_fn(base + (int(h),), self.preds) for h in cands], dtype=np.float64)
+        hits = np.take(self.preds.rows, cands, axis=0) == self.preds.labels
+        if loss == "margin":
+            # sum(k - correct), with the candidate's hits added to correct
+            total = n * k - int(np.sum(self.correct)) - np.count_nonzero(hits, axis=1)
+            return total / (n * k)
+        wrong = k - self.correct  # per-sample wrong votes if the candidate misses
+        # sum((wrong - hit)^2) == sum(wrong^2) - hits @ (2 * wrong - 1) for 0/1 hits
+        total = int(np.sum(wrong * wrong)) - hits @ (2 * wrong - 1)
+        return total / (n * k * k)
 
 
 def observation_vector(
     ensemble: Ensemble,
     preds: PredictionMatrix,
-    loss: str | LossFn,
+    loss: str,
 ) -> np.ndarray:
-    """``eval_with_candidate`` for every pool model, as one vector.
+    """Loss of the ensemble's occupied slots joined with each pool model.
 
     The fixed part of the ensemble is tallied once in a :class:`VoteState`,
-    so the cost grows linearly with the pool size.  Entry ``h`` is
-    bit-identical to calling :func:`eval_with_candidate` with candidate ``h``.
+    so the cost grows linearly with the pool size.  With an empty ensemble
+    entry ``h`` is model ``h``'s single-model loss.
     """
     state = VoteState(preds, ensemble.members())
     return state.score_all(np.arange(preds.n_models), loss)
@@ -284,7 +214,7 @@ def greedy_select(
     preds: PredictionMatrix,
     size: int,
     warm_k: int,
-    loss: str | LossFn,
+    loss: str,
 ) -> Ensemble:
     """Grow an ensemble greedily, selecting from the pool with replacement.
 
@@ -301,14 +231,13 @@ def greedy_select(
         raise ValueError("warm_k must lie in [0, size]")
     if warm_k > len(pool):
         raise ValueError("warm_k exceeds the pool size")
-    loss_fn = resolve_loss(loss)
 
     state = VoteState(preds)
-    singles = state.score_all(pool, loss_fn)
+    singles = state.score_all(pool, loss)
     for h in pool[np.argsort(singles, kind="stable")[:warm_k]]:
         state.add(h)
     while state.k < size:
-        state.add(pool[np.argmin(state.score_all(pool, loss_fn))])
+        state.add(pool[np.argmin(state.score_all(pool, loss))])
     return Ensemble(tuple(state.members))
 
 
@@ -317,7 +246,7 @@ def round_robin_replace(
     slot: int,
     pool: Sequence[int],
     preds: PredictionMatrix,
-    loss: str | LossFn,
+    loss: str,
 ) -> Ensemble:
     """Refill one slot with the pool model minimizing the ensemble loss.
 
@@ -327,7 +256,6 @@ def round_robin_replace(
     if not 0 <= slot < ensemble.size:
         raise ValueError(f"slot index {slot} out of range")
     pool = _pool_ids(pool, preds)
-    loss_fn = resolve_loss(loss)
     vacated = ensemble.with_slot(slot, None)
-    scores = VoteState(preds, vacated.members()).score_all(pool, loss_fn)
+    scores = VoteState(preds, vacated.members()).score_all(pool, loss)
     return vacated.with_slot(slot, int(pool[np.argmin(scores)]))

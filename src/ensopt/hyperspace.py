@@ -138,9 +138,6 @@ class Config:
     def __getitem__(self, name: str) -> Any:
         return self.values[name]
 
-    def get(self, name: str, default: Any = None) -> Any:
-        return self.values.get(name, default)
-
 
 def load_space(path: str) -> SearchSpace:
     """Read a search space from a JSON file."""
@@ -166,32 +163,6 @@ def _decode_one(u: float, spec: ParamSpec) -> Any:
     return spec.categories[idx]
 
 
-def _encode_one(value: Any, spec: ParamSpec) -> float:
-    if spec.kind == "categorical":
-        try:
-            idx = spec.categories.index(str(value))
-        except ValueError:
-            raise ValueError(
-                f"parameter {spec.name!r}: {value!r} is not a known category"
-            ) from None
-        return (idx + 0.5) / len(spec.categories)
-    v = float(value)
-    if not spec.lower <= v <= spec.upper:
-        raise ValueError(f"parameter {spec.name!r}: value {value!r} out of bounds")
-    if spec.kind == "continuous":
-        return (v - spec.lower) / (spec.upper - spec.lower)
-    if spec.kind == "log-continuous":
-        lo = math.log10(spec.lower)
-        hi = math.log10(spec.upper)
-        return (math.log10(v) - lo) / (hi - lo)
-    # integer: the centre of the value's bin
-    if v != int(v):
-        raise ValueError(f"parameter {spec.name!r}: expected an integer, got {value!r}")
-    lo = int(spec.lower)
-    hi = int(spec.upper)
-    return (int(v) - lo + 0.5) / (hi - lo + 1)
-
-
 def decode(u: Sequence[float] | np.ndarray, space: SearchSpace) -> Config:
     """Map a point of the unit cube to a concrete configuration.
 
@@ -211,24 +182,6 @@ def decode(u: Sequence[float] | np.ndarray, space: SearchSpace) -> Config:
         spec.name: _decode_one(float(x), spec) for x, spec in zip(arr, space.params)
     }
     return Config(values)
-
-
-def encode(config: Config, space: SearchSpace) -> np.ndarray:
-    """Map a configuration back into the unit cube.
-
-    Inverts :func:`decode` exactly for continuous kinds; integer and
-    categorical values map to the centre of their bin, so
-    ``decode(encode(c)) == c`` for every valid configuration.
-    """
-    extra = set(config.values) - set(space.names)
-    if extra:
-        raise ValueError(f"unknown parameters: {sorted(extra)}")
-    out = np.empty(space.dimension, dtype=float)
-    for i, spec in enumerate(space.params):
-        if spec.name not in config.values:
-            raise ValueError(f"parameter {spec.name!r}: missing value")
-        out[i] = _encode_one(config.values[spec.name], spec)
-    return out
 
 
 def sample(space: SearchSpace, rng: np.random.Generator) -> np.ndarray:

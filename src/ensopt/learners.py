@@ -76,10 +76,7 @@ class Dataset:
 @dataclass
 class TrainedModel:
     algo: str
-    config: Config
     params: dict[str, Any]
-    seed: int
-    fold: int | None = None
     degenerate: bool = False
 
 
@@ -125,13 +122,7 @@ def _standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, sd
 
 
-def train(
-    algo: str,
-    config: Config,
-    data: Dataset,
-    seed: int,
-    fold: int | None = None,
-) -> TrainedModel:
+def train(algo: str, config: Config, data: Dataset) -> TrainedModel:
     """Fit one base classifier on ``data``.
 
     Feature standardization, where an algorithm uses it, is fit on this
@@ -144,9 +135,7 @@ def train(
     present = np.unique(data.labels)
     if present.size == 1:
         # single-class subset: constant prediction, flagged for the caller
-        return TrainedModel(
-            algo, config, {"constant": int(present[0])}, seed, fold, degenerate=True
-        )
+        return TrainedModel(algo, {"constant": int(present[0])}, degenerate=True)
     trainer = {
         "knn": _train_knn,
         "tree": _train_tree,
@@ -154,7 +143,7 @@ def train(
         "linear": _train_linear,
     }[algo]
     params = trainer(config, data)
-    return TrainedModel(algo, config, params, seed, fold)
+    return TrainedModel(algo, params)
 
 
 def predict(model: TrainedModel, features: np.ndarray) -> np.ndarray:

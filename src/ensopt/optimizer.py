@@ -20,13 +20,13 @@ import numpy as np
 from .acquisition import AcquisitionContext, next_point
 from .data import SplitPlan, cross_val_predictions
 from .ensemble import (
+    LOSSES,
     Ensemble,
     PredictionMatrix,
+    greedy_select,
     observation_vector,
-    resolve_loss,
     round_robin_replace,
     zero_one_ensemble_loss,
-    greedy_select,
 )
 from .hyperspace import Config, SearchSpace, decode, sample
 from .learners import Dataset
@@ -136,14 +136,12 @@ class CrossValEvaluator:
         algorithms: Sequence[str],
         data: Dataset,
         plan: SplitPlan,
-        seed: int = 0,
     ):
         self.algorithms = tuple(algorithms)
         if len(self.algorithms) == 0:
             raise ValueError("at least one algorithm is required")
         self.data = data
         self.plan = plan
-        self.seed = seed
         nontest = plan.non_test(data.n_samples)
         self.labels_val = data.labels[nontest]
         self.labels_test = data.labels[plan.test]
@@ -156,7 +154,7 @@ class CrossValEvaluator:
             algo = config["algorithm"]
         else:
             algo = self.algorithms[0]
-        return cross_val_predictions(algo, config, self.data, self.plan, seed)
+        return cross_val_predictions(algo, config, self.data, self.plan)
 
 
 @dataclass
@@ -214,11 +212,16 @@ def _safe_evaluate(
     seed: int,
     iteration: int,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Evaluate a configuration, degrading to a constant model on failure."""
+    """Evaluate a configuration, degrading to a constant model on a numerical failure.
+
+    Only value, arithmetic and runtime errors (``LinAlgError`` and
+    ``NumericalError`` among them) are caught; any other exception is a
+    programming error and ends the run.
+    """
     try:
         val_row, test_row = evaluator(config, point, seed, iteration)
         return np.asarray(val_row), np.asarray(test_row), False
-    except Exception:
+    except (ValueError, ArithmeticError, RuntimeError):
         val_row = np.zeros(evaluator.labels_val.shape, dtype=np.int64)
         test_row = np.zeros(evaluator.labels_test.shape, dtype=np.int64)
         return val_row, test_row, True
@@ -298,7 +301,8 @@ def run_eo(
         raise ValueError("ensemble_size must be at least 1")
     if init < 1 or budget < init:
         raise ValueError("need budget >= init >= 1")
-    loss_fn = resolve_loss(loss)
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss!r}")
     settings = settings or SearchSettings()
     rng = np.random.default_rng(seed)
     history = History(evaluator.labels_val, evaluator.labels_test, evaluator.n_labels)
@@ -307,7 +311,7 @@ def run_eo(
         budget=budget,
         init=init,
         seed=seed,
-        loss=loss if isinstance(loss, str) else getattr(loss, "__name__", "custom"),
+        loss=loss,
         space=space.to_dict(),
         n_labels=evaluator.n_labels,
         ensemble_size=ensemble_size,
@@ -323,7 +327,7 @@ def run_eo(
             u = sample(space, rng)
         else:
             preds = history.val_matrix()
-            observations = observation_vector(ensemble, preds, loss_fn)
+            observations = observation_vector(ensemble, preds, loss)
             if i < init:
                 u = sample(space, rng)
             else:
@@ -334,7 +338,7 @@ def run_eo(
         val_row, test_row, failed = _safe_evaluate(evaluator, config, u, seed, i)
         history.append(config, u, val_row, test_row, degenerate=failed)
         ensemble = round_robin_replace(
-            ensemble, j, range(len(history)), history.val_matrix(), loss_fn
+            ensemble, j, range(len(history)), history.val_matrix(), loss
         )
         artifact.iterations.append(
             IterationLog(
@@ -364,7 +368,7 @@ def post_hoc(history: History, size: int, warm_k: int = 3) -> Ensemble:
     if len(history) == 0:
         raise ValueError("history is empty")
     return greedy_select(
-        range(len(history)), history.val_matrix(), size, warm_k, zero_one_ensemble_loss
+        range(len(history)), history.val_matrix(), size, warm_k, "zero_one"
     )
 
 

@@ -24,6 +24,11 @@ HALF_LOG_2PI = 0.5 * LOG_2PI
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
 
+# Slice sampling: initial bracket width in log space, and the cap on the
+# step-out and shrink iterations of one univariate update.
+SLICE_WIDTH = 1.0
+SLICE_MAX_STEPS = 100
+
 
 class NumericalError(RuntimeError):
     """Raised when a covariance matrix cannot be factorized even with jitter."""
@@ -106,11 +111,6 @@ class ObservationSet:
         return self.inputs.shape[1]
 
 
-def _scaled_sqdists(X1: np.ndarray, X2: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    A = X1 / lengthscales
-    return _sqdists(A, (A * A).sum(axis=1)[:, None], X2 / lengthscales)
-
-
 def _sqdists(A: np.ndarray, A_sqnorms: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of A and B, given A's column of row norms."""
     d2 = A_sqnorms + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
@@ -120,13 +120,6 @@ def _sqdists(A: np.ndarray, A_sqnorms: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _kernel_from_sqdists(r2: np.ndarray, amplitude: float) -> np.ndarray:
     r = np.sqrt(r2)
     return amplitude * (1.0 + SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-SQRT5 * r)
-
-
-def kernel_matrix(X1: np.ndarray, X2: np.ndarray, hypers: GpHyperparams) -> np.ndarray:
-    """Covariance matrix between two sets of points."""
-    return _kernel_from_sqdists(
-        _scaled_sqdists(X1, X2, hypers.lengthscales), hypers.amplitude
-    )
 
 
 def _factorize(K: np.ndarray, amplitude: float, noise: float) -> tuple[np.ndarray, float]:
@@ -168,12 +161,16 @@ class GpState:
             raise ValueError("one lengthscale per input dimension is required")
         self.obs = obs
         self.hypers = hypers
-        K = kernel_matrix(obs.inputs, obs.inputs, hypers)
-        self.chol, self.jitter = _factorize(K, hypers.amplitude, hypers.noise)
-        self.alpha = _cho_solve(self.chol, obs.targets)
         # query-independent halves of the kernel and of the triangular solve
         self._scaled = obs.inputs / hypers.lengthscales
         self._sqnorms = (self._scaled * self._scaled).sum(axis=1)[:, None]
+        # a distinct second operand keeps the product a general matrix
+        # multiply: with the same array twice numpy may round it as a
+        # symmetric rank-k update
+        r2 = _sqdists(self._scaled, self._sqnorms, self._scaled.copy())
+        K = _kernel_from_sqdists(r2, hypers.amplitude)
+        self.chol, self.jitter = _factorize(K, hypers.amplitude, hypers.noise)
+        self.alpha = _cho_solve(self.chol, obs.targets)
         # the LAPACK call scipy.linalg.solve_triangular(chol, b, lower=True)
         # makes: the transposed factor when the factor is not Fortran-ordered
         if self.chol.flags.f_contiguous:
@@ -181,12 +178,8 @@ class GpState:
         else:
             self._tri = (self.chol.T, 0, 1)
 
-    def predict(self, x: np.ndarray) -> tuple[float, float]:
-        """Posterior mean and variance at one point, in raw target units."""
-        mean, var = self.predict_batch(np.asarray(x, dtype=float)[None, :])
-        return float(mean[0]), float(var[0])
-
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and variances at the rows of ``X``, in raw target units."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.obs.dimension:
             raise ValueError("query points must match the observation dimension")
@@ -207,16 +200,6 @@ class GpState:
 def fit(obs: ObservationSet, hypers: GpHyperparams) -> GpState:
     """Condition a GP on ``obs`` under ``hypers``."""
     return GpState(obs, hypers)
-
-
-def log_marginal_likelihood(obs: ObservationSet, hypers: GpHyperparams) -> float:
-    """Marginal log likelihood of the standardized targets under ``hypers``.
-
-    Raises ``NumericalError`` when the covariance cannot be factorized.
-    """
-    if hypers.lengthscales.shape != (obs.dimension,):
-        raise ValueError("one lengthscale per input dimension is required")
-    return _LmlCache(obs)(hypers.amplitude, hypers.lengthscales, hypers.noise)
 
 
 class _LmlCache:
@@ -279,32 +262,30 @@ def _slice_axis(
     theta: np.ndarray,
     f0: float,
     axis: int,
-    width: float,
     rng: np.random.Generator,
-    max_steps: int = 100,
 ) -> tuple[np.ndarray, float]:
     """One univariate slice-sampling update with step-out along ``axis``."""
     u = rng.random()
     threshold = f0 + math.log(max(u, 1e-300))
     r = rng.random()
-    lo = theta[axis] - r * width
-    hi = theta[axis] + (1.0 - r) * width
+    lo = theta[axis] - r * SLICE_WIDTH
+    hi = theta[axis] + (1.0 - r) * SLICE_WIDTH
 
     def eval_at(v: float) -> float:
         prop = theta.copy()
         prop[axis] = v
         return log_target(prop)
 
-    steps = max_steps
+    steps = SLICE_MAX_STEPS
     while steps > 0 and eval_at(lo) > threshold:
-        lo -= width
+        lo -= SLICE_WIDTH
         steps -= 1
-    steps = max_steps
+    steps = SLICE_MAX_STEPS
     while steps > 0 and eval_at(hi) > threshold:
-        hi += width
+        hi += SLICE_WIDTH
         steps -= 1
 
-    for _ in range(max_steps):
+    for _ in range(SLICE_MAX_STEPS):
         v = rng.uniform(lo, hi)
         f = eval_at(v)
         if f > threshold:
@@ -325,7 +306,6 @@ def slice_sample_hypers(
     rng: np.random.Generator,
     burn_in: int = 30,
     thin: int = 2,
-    width: float = 1.0,
 ) -> list[GpHyperparams]:
     """Draw kernel hyperparameters from their posterior by slice sampling.
 
@@ -365,7 +345,7 @@ def slice_sample_hypers(
 
     def sweep(theta: np.ndarray, f: float) -> tuple[np.ndarray, float]:
         for axis in range(d + 2):
-            theta, f = _slice_axis(log_target, theta, f, axis, width, rng)
+            theta, f = _slice_axis(log_target, theta, f, axis, rng)
         return theta, f
 
     for _ in range(burn_in):

@@ -12,6 +12,13 @@ same history and the same artifact.  ``write_int_rows`` and ``read_int_rows``
 are the text codec of integer rows that ``ensopt.artifact`` replaced by a
 byte-level one; the tests require the same file bytes and the same arrays or
 exception types.
+
+The margin losses score one member list from scratch; the tests require
+``VoteState.score_all`` to match them bit for bit, and ``VoteState`` here adds
+the member removal those tests drive it with.  ``encode`` inverts
+``ensopt.hyperspace.decode``; ``kernel_matrix``, ``log_marginal_likelihood``
+and ``predict_one`` are the kernel, likelihood and one-point posterior the
+surrogate tests check against dense formulas.
 """
 
 from __future__ import annotations
@@ -25,8 +32,14 @@ from scipy.special import ndtr
 
 from ensopt.acquisition import INV_SQRT_2PI, VARIANCE_FLOOR
 from ensopt.data import SplitPlan
-from ensopt.ensemble import PredictionMatrix
-from ensopt.hyperspace import Config, SearchSpace, decode, sample
+from ensopt.ensemble import (
+    Ensemble,
+    PredictionMatrix,
+    _check_members,
+    zero_one_ensemble_loss,
+)
+from ensopt.ensemble import VoteState as LibraryVoteState
+from ensopt.hyperspace import Config, ParamSpec, SearchSpace, decode, sample
 from ensopt.learners import (
     LINEAR_ITERATIONS,
     Dataset,
@@ -44,7 +57,17 @@ from ensopt.optimizer import (
     _safe_evaluate,
     digest_vector,
 )
-from ensopt.surrogate import HALF_LOG_2PI, SQRT5, GpHyperparams, LogNormalPrior
+from ensopt.surrogate import (
+    HALF_LOG_2PI,
+    SQRT5,
+    GpHyperparams,
+    GpState,
+    LogNormalPrior,
+    ObservationSet,
+    _kernel_from_sqdists,
+    _LmlCache,
+    _sqdists,
+)
 
 
 def _member_column(members: Sequence[int], preds: PredictionMatrix, i: int) -> np.ndarray:
@@ -166,24 +189,24 @@ def predict_knn(params: dict[str, Any], X: np.ndarray) -> np.ndarray:
 
 
 def cross_val_predictions(
-    algo: str, config: Config, data: Dataset, plan: SplitPlan, seed: int
+    algo: str, config: Config, data: Dataset, plan: SplitPlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold and test rows, scattered one sample at a time through a dict."""
     nontest = plan.non_test(data.n_samples)
     position = {int(idx): p for p, idx in enumerate(nontest)}
     val_row = np.full(nontest.size, -1, dtype=np.int64)
-    for f_i, fold in enumerate(plan.folds):
+    for fold in plan.folds:
         if fold.size == 0:
             continue
         train_mask = np.ones(data.n_samples, dtype=bool)
         train_mask[plan.test] = False
         train_mask[fold] = False
         train_idx = np.flatnonzero(train_mask)
-        model = train(algo, config, data.subset(train_idx), seed, fold=f_i)
+        model = train(algo, config, data.subset(train_idx))
         preds = predict(model, data.features[fold])
         for idx, p in zip(fold, preds):
             val_row[position[int(idx)]] = p
-    final = train(algo, config, data.subset(nontest), seed)
+    final = train(algo, config, data.subset(nontest))
     test_row = predict(final, data.features[plan.test])
     return val_row, test_row
 
@@ -246,3 +269,146 @@ def read_int_rows(path: str) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
+
+
+def _correct_counts(members: Sequence[int], preds: PredictionMatrix) -> np.ndarray:
+    correct = np.zeros(preds.n_samples, dtype=np.int64)
+    for m in members:
+        correct += preds.rows[m] == preds.labels
+    return correct
+
+
+def _margin_loss_from_correct(correct: np.ndarray, k: int, n: int) -> float:
+    # (1 - margin) / 2 == (k - correct) / k; integer sums keep equal losses
+    # exactly equal in float, so argmin ties are well defined
+    return int(np.sum(k - correct)) / (n * k)
+
+
+def _squared_margin_loss_from_correct(correct: np.ndarray, k: int, n: int) -> float:
+    # (1 - margin)^2 / 4 == (k - correct)^2 / k^2
+    wrong = k - correct
+    return int(np.sum(wrong * wrong)) / (n * k * k)
+
+
+def margin_loss(members: Sequence[int], preds: PredictionMatrix) -> float:
+    """Mean of (1 - margin) / 2; linear in each member's own error."""
+    if len(members) == 0:
+        raise ValueError("cannot score an empty member list")
+    _check_members(members, preds)
+    correct = _correct_counts(members, preds)
+    return _margin_loss_from_correct(correct, len(members), preds.n_samples)
+
+
+def squared_margin_loss(members: Sequence[int], preds: PredictionMatrix) -> float:
+    """Mean of (1 - margin)^2 / 4; penalizes narrow-majority samples."""
+    if len(members) == 0:
+        raise ValueError("cannot score an empty member list")
+    _check_members(members, preds)
+    correct = _correct_counts(members, preds)
+    return _squared_margin_loss_from_correct(correct, len(members), preds.n_samples)
+
+
+LOSS_FNS = {
+    "zero_one": zero_one_ensemble_loss,
+    "margin": margin_loss,
+    "squared_margin": squared_margin_loss,
+}
+
+
+def eval_with_candidate(
+    ensemble: Ensemble,
+    candidate: int,
+    preds: PredictionMatrix,
+    loss: str,
+) -> float:
+    """Loss of the ensemble's occupied slots with ``candidate`` appended.
+
+    With an empty ensemble this is the candidate's single-model loss.
+    """
+    members = ensemble.members() + (candidate,)
+    return LOSS_FNS[loss](members, preds)
+
+
+class VoteState(LibraryVoteState):
+    """``ensopt.ensemble.VoteState`` that can also drop a member."""
+
+    def remove(self, h: int) -> None:
+        """Drop one occurrence of ``h``; raises ``ValueError`` if absent."""
+        if int(h) not in self.members:
+            raise ValueError(f"model id {h} is not a member")
+        self.members.remove(int(h))
+        row = self.preds.rows[h]
+        self.counts[row, self._cols] -= 1
+        self.correct -= row == self.preds.labels
+
+
+def _encode_one(value: Any, spec: ParamSpec) -> float:
+    if spec.kind == "categorical":
+        try:
+            idx = spec.categories.index(str(value))
+        except ValueError:
+            raise ValueError(
+                f"parameter {spec.name!r}: {value!r} is not a known category"
+            ) from None
+        return (idx + 0.5) / len(spec.categories)
+    v = float(value)
+    if not spec.lower <= v <= spec.upper:
+        raise ValueError(f"parameter {spec.name!r}: value {value!r} out of bounds")
+    if spec.kind == "continuous":
+        return (v - spec.lower) / (spec.upper - spec.lower)
+    if spec.kind == "log-continuous":
+        lo = math.log10(spec.lower)
+        hi = math.log10(spec.upper)
+        return (math.log10(v) - lo) / (hi - lo)
+    # integer: the centre of the value's bin
+    if v != int(v):
+        raise ValueError(f"parameter {spec.name!r}: expected an integer, got {value!r}")
+    lo = int(spec.lower)
+    hi = int(spec.upper)
+    return (int(v) - lo + 0.5) / (hi - lo + 1)
+
+
+def encode(config: Config, space: SearchSpace) -> np.ndarray:
+    """Map a configuration back into the unit cube.
+
+    Inverts :func:`decode` exactly for continuous kinds; integer and
+    categorical values map to the centre of their bin, so
+    ``decode(encode(c)) == c`` for every valid configuration.
+    """
+    extra = set(config.values) - set(space.names)
+    if extra:
+        raise ValueError(f"unknown parameters: {sorted(extra)}")
+    out = np.empty(space.dimension, dtype=float)
+    for i, spec in enumerate(space.params):
+        if spec.name not in config.values:
+            raise ValueError(f"parameter {spec.name!r}: missing value")
+        out[i] = _encode_one(config.values[spec.name], spec)
+    return out
+
+
+def _scaled_sqdists(X1: np.ndarray, X2: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
+    A = X1 / lengthscales
+    return _sqdists(A, (A * A).sum(axis=1)[:, None], X2 / lengthscales)
+
+
+def kernel_matrix(X1: np.ndarray, X2: np.ndarray, hypers: GpHyperparams) -> np.ndarray:
+    """Covariance matrix between two sets of points."""
+    return _kernel_from_sqdists(
+        _scaled_sqdists(X1, X2, hypers.lengthscales), hypers.amplitude
+    )
+
+
+def log_marginal_likelihood(obs: ObservationSet, hypers: GpHyperparams) -> float:
+    """Marginal log likelihood of the standardized targets under ``hypers``.
+
+    Raises ``NumericalError`` when the covariance cannot be factorized.
+    """
+    if hypers.lengthscales.shape != (obs.dimension,):
+        raise ValueError("one lengthscale per input dimension is required")
+    return _LmlCache(obs)(hypers.amplitude, hypers.lengthscales, hypers.noise)
+
+
+def predict_one(state: GpState, x: np.ndarray) -> tuple[float, float]:
+    """Posterior mean and variance at one point, in raw target units."""
+    mean, var = state.predict_batch(np.asarray(x, dtype=float)[None, :])
+    return float(mean[0]), float(var[0])

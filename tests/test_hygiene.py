@@ -2,10 +2,12 @@
 
 import ast
 import os
+import re
 
 import pytest
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "ensopt")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -93,3 +95,64 @@ def test_no_unreferenced_private_definitions():
         with open(os.path.join(PACKAGE, module), "r", encoding="utf-8") as fh:
             sources[module] = fh.read()
     assert unreferenced_private_definitions(sources) == []
+
+
+def unreferenced_public_definitions(sources: dict[str, str], readme: str) -> list[str]:
+    """Public functions, classes and methods named nowhere outside their own body.
+
+    ``sources`` maps module names to source text.  A definition counts as used
+    when some name or attribute outside its own body spells its name, in any
+    of the modules, or when ``readme`` documents it by name.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    references = [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    documented = set(re.findall(r"\w+", readme))
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            name = getattr(node, "name", "")
+            if not isinstance(node, DEFINITIONS) or name.startswith("_") or name in documented:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(ref == name and nid not in inside for ref, nid in references):
+                dead.append(f"{module}:{name} (line {node.lineno})")
+    return dead
+
+
+def test_detector_flags_an_unused_public_definition():
+    library = (
+        "def used():\n    return 1\n"
+        "def dead():\n    return 2\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "def documented():\n    return 3\n"
+        "class Shape:\n    def area(self):\n        return self.side()\n"
+        "    def side(self):\n        return 0\n"
+        "    def unused(self):\n        return 1\n"
+        "    def __repr__(self):\n        return ''\n"
+    )
+    caller = "from .library import Shape, used\nVALUE = used() + Shape().area()\n"
+    readme = "Call `documented()` for a constant."
+    found = unreferenced_public_definitions({"library": library, "caller": caller}, readme)
+    assert found == [
+        "library:dead (line 3)",
+        "library:recursive (line 5)",
+        "library:unused (line 14)",
+    ]
+
+
+def test_no_unreferenced_public_definitions():
+    """The package exports only what its own code runs or the README documents."""
+    sources = {}
+    for module in MODULES:
+        if module == "__init__.py":
+            continue
+        with open(os.path.join(PACKAGE, module), "r", encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    with open(README, "r", encoding="utf-8") as fh:
+        readme = fh.read()
+    assert unreferenced_public_definitions(sources, readme) == []

@@ -8,10 +8,11 @@ from ensopt.hyperspace import (
     ParamSpec,
     SearchSpace,
     decode,
-    encode,
     load_space,
     sample,
 )
+
+from oracles import encode
 
 
 def mixed_space() -> SearchSpace:

@@ -70,7 +70,7 @@ class TestDefaultSpace:
 class TestKnn:
     def test_one_neighbor_memorizes_training_data(self):
         data = blob_dataset([(0, 0), (4, 4)], 20, 1.0, seed=1)
-        model = train("knn", Config({"n_neighbors": 1}), data, seed=0)
+        model = train("knn", Config({"n_neighbors": 1}), data)
         assert error_rate(model, data) == 0.0
 
     def test_three_neighbor_hand_case(self):
@@ -80,7 +80,7 @@ class TestKnn:
             np.array([0, 0, 1, 1, 1]),
             ("a", "b"),
         )
-        model = train("knn", Config({"n_neighbors": 3}), data, seed=0)
+        model = train("knn", Config({"n_neighbors": 3}), data)
         queries = np.array([[1.5], [4.0], [9.0]])
         # 1.5: neighbours {1,2,0} vote 0; 4.0: {2,1,0} vote 0; 9.0: {10,11,2} vote 1
         np.testing.assert_array_equal(predict(model, queries), [0, 0, 1])
@@ -92,7 +92,7 @@ class TestKnn:
             np.array([0, 1, 1]),
             ("a", "b"),
         )
-        model = train("knn", Config({"n_neighbors": 2}), data, seed=0)
+        model = train("knn", Config({"n_neighbors": 2}), data)
         # both duplicates are picked; the 1-1 vote falls to the smaller label
         np.testing.assert_array_equal(predict(model, np.array([[0.0]])), [0])
 
@@ -102,7 +102,7 @@ class TestKnn:
             np.array([1, 0]),
             ("a", "b"),
         )
-        model = train("knn", Config({"n_neighbors": 2}), data, seed=0)
+        model = train("knn", Config({"n_neighbors": 2}), data)
         np.testing.assert_array_equal(predict(model, np.array([[0.05]])), [0])
 
     def test_neighbor_count_clamped_to_training_size(self):
@@ -111,7 +111,7 @@ class TestKnn:
             np.array([0, 1, 1]),
             ("a", "b"),
         )
-        model = train("knn", Config({"n_neighbors": 30}), data, seed=0)
+        model = train("knn", Config({"n_neighbors": 30}), data)
         assert model.params["k"] == 3
         # with every point voting, the overall majority label wins everywhere
         np.testing.assert_array_equal(
@@ -121,7 +121,7 @@ class TestKnn:
     def test_missing_parameter_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
         with pytest.raises(ValueError, match="n_neighbors"):
-            train("knn", Config({}), data, seed=0)
+            train("knn", Config({}), data)
 
 
 class TestKnnMatchesStableSort:
@@ -147,7 +147,7 @@ class TestKnnMatchesStableSort:
             labels[:n_labels] = np.arange(n_labels)
             data = Dataset(features, labels, tuple("abcd"[:n_labels]))
             neighbours = n if k == "all" else k
-            model = train("knn", Config({"n_neighbors": neighbours}), data, seed=0)
+            model = train("knn", Config({"n_neighbors": neighbours}), data)
             np.testing.assert_array_equal(
                 predict(model, queries), predict_knn(model.params, queries)
             )
@@ -164,7 +164,7 @@ class TestTree:
             ("a", "b"),
         )
         cfg = dict(TREE_CFG, max_depth=1)
-        model = train("tree", Config(cfg), data, seed=0)
+        model = train("tree", Config(cfg), data)
         assert error_rate(model, data) == 0.5
 
     def test_depth_two_solves_xor(self):
@@ -174,7 +174,7 @@ class TestTree:
             ("a", "b"),
         )
         cfg = dict(TREE_CFG, max_depth=2)
-        model = train("tree", Config(cfg), data, seed=0)
+        model = train("tree", Config(cfg), data)
         assert error_rate(model, data) == 0.0
 
     def test_threshold_is_midpoint_of_best_boundary(self):
@@ -183,7 +183,7 @@ class TestTree:
             np.array([0, 0, 1, 1]),
             ("a", "b"),
         )
-        model = train("tree", Config(dict(TREE_CFG, max_depth=1)), data, seed=0)
+        model = train("tree", Config(dict(TREE_CFG, max_depth=1)), data)
         root = model.params["root"]
         assert root["feature"] == 0
         assert root["threshold"] == 1.5
@@ -195,13 +195,13 @@ class TestTree:
             np.array([0, 1]),
             ("a", "b"),
         )
-        model = train("tree", Config(dict(TREE_CFG, max_depth=1)), data, seed=0)
+        model = train("tree", Config(dict(TREE_CFG, max_depth=1)), data)
         assert model.params["root"]["feature"] == 0
 
     def test_structural_constraints_respected(self):
         data = blob_dataset([(0, 0), (2, 2), (4, 0)], 70, 1.2, seed=3)
         cfg = {"max_depth": 3, "min_samples_split": 10, "min_samples_leaf": 5}
-        model = train("tree", Config(cfg), data, seed=0)
+        model = train("tree", Config(cfg), data)
         root = model.params["root"]
 
         leaf_counts: dict[int, int] = {}
@@ -225,7 +225,7 @@ class TestTree:
     def test_invalid_configuration_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
         with pytest.raises(ValueError):
-            train("tree", Config(dict(TREE_CFG, max_depth=0)), data, seed=0)
+            train("tree", Config(dict(TREE_CFG, max_depth=0)), data)
 
 
 class TestGaussianNaiveBayes:
@@ -235,7 +235,7 @@ class TestGaussianNaiveBayes:
             np.array([0, 0, 1, 1]),
             ("a", "b"),
         )
-        model = train("gnb", Config({}), data, seed=0)
+        model = train("gnb", Config({}), data)
         smoothing = 1e-9 * np.var([0.0, 2.0, 10.0, 14.0])
         np.testing.assert_allclose(model.params["means"], [[1.0], [12.0]])
         np.testing.assert_allclose(
@@ -251,14 +251,14 @@ class TestGaussianNaiveBayes:
             np.array([0, 0, 1, 1]),
             ("a", "b"),
         )
-        model = train("gnb", Config({}), data, seed=0)
+        model = train("gnb", Config({}), data)
         np.testing.assert_array_equal(
             predict(model, np.array([[1.0], [5.0], [13.0]])), [0, 1, 1]
         )
 
     def test_two_blob_accuracy(self):
         data = blob_dataset([(0, 0), (5, 5)], 200, 1.0, seed=7)
-        model = train("gnb", Config({}), data, seed=0)
+        model = train("gnb", Config({}), data)
         assert error_rate(model, data) <= 0.02
 
     def test_absent_label_never_predicted(self):
@@ -268,7 +268,7 @@ class TestGaussianNaiveBayes:
             np.array([0, 0, 2, 2]),
             ("a", "b", "c"),
         )
-        model = train("gnb", Config({}), data, seed=0)
+        model = train("gnb", Config({}), data)
         preds = predict(model, np.linspace(-5, 15, 50)[:, None])
         assert set(preds.tolist()) <= {0, 2}
 
@@ -280,18 +280,18 @@ class TestLinear:
             np.array([0, 0, 1, 1]),
             ("a", "b"),
         )
-        model = train("linear", Config({"C": 100.0}), data, seed=0)
+        model = train("linear", Config({"C": 100.0}), data)
         assert error_rate(model, data) == 0.0
 
     def test_three_class_blobs(self):
         data = blob_dataset([(0, 0), (6, 0), (3, 6)], 60, 0.8, seed=11)
-        model = train("linear", Config({"C": 10.0}), data, seed=0)
+        model = train("linear", Config({"C": 10.0}), data)
         assert error_rate(model, data) <= 0.02
 
     def test_strong_regularization_shrinks_weights(self):
         data = blob_dataset([(0, 0), (4, 4)], 40, 1.0, seed=5)
-        loose = train("linear", Config({"C": 1e4}), data, seed=0)
-        tight = train("linear", Config({"C": 1e-2}), data, seed=0)
+        loose = train("linear", Config({"C": 1e4}), data)
+        tight = train("linear", Config({"C": 1e-2}), data)
         assert np.linalg.norm(tight.params["weights"]) < np.linalg.norm(
             loose.params["weights"]
         )
@@ -299,7 +299,7 @@ class TestLinear:
     def test_nonpositive_c_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
         with pytest.raises(ValueError):
-            train("linear", Config({"C": 0.0}), data, seed=0)
+            train("linear", Config({"C": 0.0}), data)
 
 
 class TestLinearMatchesOneClassAtATime:
@@ -322,7 +322,7 @@ class TestLinearMatchesOneClassAtATime:
         labels = codes[rng.integers(0, n_classes, size=n)]
         labels[:n_classes] = codes
         data = Dataset(features, labels, tuple(str(c) for c in range(n_classes + 1)))
-        model = train("linear", Config({"C": C}), data, seed=0)
+        model = train("linear", Config({"C": C}), data)
         weights, biases = train_linear(C, data)
         # C = 1e-5 makes the weight decay diverge, so NaN bits must match too
         assert model.params["weights"].tobytes() == weights.tobytes()
@@ -333,12 +333,12 @@ class TestTrainFrontDoor:
     def test_unknown_algorithm_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
         with pytest.raises(ValueError, match="unknown algorithm"):
-            train("forest", Config({}), data, seed=0)
+            train("forest", Config({}), data)
 
     def test_empty_dataset_rejected(self):
         data = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), ("a", "b"))
         with pytest.raises(ValueError, match="empty"):
-            train("knn", Config({"n_neighbors": 1}), data, seed=0)
+            train("knn", Config({"n_neighbors": 1}), data)
 
     def test_single_class_training_set_degenerates(self):
         data = Dataset(
@@ -347,7 +347,7 @@ class TestTrainFrontDoor:
             ("a", "b"),
         )
         for algo in ALGORITHMS:
-            model = train(algo, Config(TREE_CFG | {"n_neighbors": 3, "C": 1.0}), data, seed=0)
+            model = train(algo, Config(TREE_CFG | {"n_neighbors": 3, "C": 1.0}), data)
             assert model.degenerate
             np.testing.assert_array_equal(
                 predict(model, np.array([[-9.0], [9.0]])), [1, 1]
@@ -362,13 +362,13 @@ class TestTrainFrontDoor:
     def test_training_is_deterministic(self, algo, cfg):
         data = blob_dataset([(0, 0), (3, 3), (6, 0)], 30, 1.5, seed=2)
         queries = np.random.default_rng(9).normal(3.0, 3.0, size=(40, 2))
-        a = predict(train(algo, Config(cfg), data, seed=0), queries)
-        b = predict(train(algo, Config(cfg), data, seed=0), queries)
+        a = predict(train(algo, Config(cfg), data), queries)
+        b = predict(train(algo, Config(cfg), data), queries)
         np.testing.assert_array_equal(a, b)
 
     def test_non_finite_features_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 10, 1.0, seed=1)
-        model = train("knn", Config({"n_neighbors": 3}), data, seed=0)
+        model = train("knn", Config({"n_neighbors": 3}), data)
         for value in (np.nan, np.inf, -np.inf):
             features = data.features.copy()
             features[3, 1] = value
@@ -379,13 +379,11 @@ class TestTrainFrontDoor:
 
     def test_feature_dimension_mismatch_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 10, 1.0, seed=1)
-        model = train("gnb", Config({}), data, seed=0)
+        model = train("gnb", Config({}), data)
         with pytest.raises(ValueError, match="dimension"):
             predict(model, np.zeros((3, 5)))
 
     def test_metadata_recorded(self):
         data = blob_dataset([(0, 0), (4, 4)], 10, 1.0, seed=1)
-        model = train("knn", Config({"n_neighbors": 2}), data, seed=17, fold=3)
-        assert model.seed == 17
-        assert model.fold == 3
+        model = train("knn", Config({"n_neighbors": 2}), data)
         assert model.algo == "knn"

@@ -30,6 +30,7 @@ from ensopt.optimizer import (
     run_eo,
     select_best,
 )
+from ensopt.surrogate import NumericalError
 
 UNIT = SearchSpace((ParamSpec("u", "continuous", 0.0, 1.0),))
 
@@ -284,6 +285,44 @@ class TestRunEo:
                 stand_alone_bo(UNIT, stub(), budget, init=init, seed=seed, settings=FAST),
             )
 
+    def test_programming_error_in_evaluator_ends_the_run(self):
+        class Broken(RowStub):
+            def __call__(self, config, point, seed, iteration):
+                if iteration == 1:
+                    raise TypeError("unsupported operand")
+                return super().__call__(config, point, seed, iteration)
+
+        stub = Broken([[0, 1]] * 3, [[0]] * 3, [0, 1], [0], 2)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_eo(UNIT, stub, budget=3, ensemble_size=2, loss="zero_one", init=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "error", [ZeroDivisionError, FloatingPointError, np.linalg.LinAlgError, NumericalError]
+    )
+    def test_numerical_error_in_evaluator_degrades_to_constant(self, error):
+        class Failing(RowStub):
+            def __call__(self, config, point, seed, iteration):
+                if iteration == 1:
+                    raise error("no fit")
+                return super().__call__(config, point, seed, iteration)
+
+        stub = Failing([[0, 1]] * 3, [[0]] * 3, [0, 1], [0], 2)
+        history, _, artifact = run_eo(
+            UNIT, stub, budget=3, ensemble_size=2, loss="zero_one", init=3, seed=0
+        )
+        assert [r.degenerate for r in history.records] == [False, True, False]
+        assert artifact.iterations[1].degenerate
+
+    @pytest.mark.parametrize("loss", ["hinge", zero_one_ensemble_loss], ids=["name", "callable"])
+    def test_unknown_loss_rejected_before_training(self, loss):
+        class NoTraining(RowStub):
+            def __call__(self, config, point, seed, iteration):
+                raise AssertionError("an unknown loss must stop the run before training")
+
+        stub = NoTraining([[0, 1]], [[0]], [0, 1], [0], 2)
+        with pytest.raises(ValueError, match="unknown loss"):
+            run_eo(UNIT, stub, budget=1, ensemble_size=1, loss=loss, init=1, seed=0)
+
     def test_hand_traced_round_robin(self):
         # two samples, two slots: every loss is a dyadic rational, so the
         # expected observation vectors match the logged digests bitwise
@@ -376,7 +415,7 @@ class TestSelection:
             history.val_matrix(),
             size=3,
             warm_k=2,
-            loss=zero_one_ensemble_loss,
+            loss="zero_one",
         )
         assert post_hoc(history, size=3, warm_k=2).slots == direct.slots
 
