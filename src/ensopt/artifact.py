@@ -157,10 +157,6 @@ class LoadedRun:
     history: History
     space: SearchSpace
 
-    @property
-    def engine(self) -> str:
-        return self.run["engine"]
-
 
 def load_artifact(directory: str) -> LoadedRun:
     """Rebuild the history of a run from its directory alone."""

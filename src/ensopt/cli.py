@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from . import artifact as artifact_io
 from .data import DataError, load_csv, make_split, merge_with_test
-from .ensemble import LOSSES, zero_one_ensemble_loss
+from .ensemble import LOSSES, VoteState, zero_one_ensemble_loss
 from .hyperspace import load_space
 from .learners import ALGORITHMS, REQUIRED_PARAMS, default_space
 from .optimizer import (
@@ -311,19 +311,14 @@ def cmd_post(args: argparse.Namespace) -> int:
     if args.warm > len(loaded.history):
         raise UsageError("--warm exceeds the number of stored models")
     ensemble = post_hoc(loaded.history, args.size, args.warm)
-    val_matrix = loaded.history.val_matrix()
-    test_matrix = loaded.history.test_matrix()
+    # the first s slots are the first s - 1 plus one: grow one vote state per split
+    val_state = VoteState(loaded.history.val_matrix())
+    test_state = VoteState(loaded.history.test_matrix())
     lines = ["size,val_error,test_error"]
-    for s in range(1, args.size + 1):
-        members = ensemble.slots[:s]
-        lines.append(
-            "%d,%.6f,%.6f"
-            % (
-                s,
-                zero_one_ensemble_loss(members, val_matrix),
-                zero_one_ensemble_loss(members, test_matrix),
-            )
-        )
+    for s, h in enumerate(ensemble.slots, start=1):
+        val_state.add(h)
+        test_state.add(h)
+        lines.append("%d,%.6f,%.6f" % (s, val_state.zero_one(), test_state.zero_one()))
     text = "\n".join(lines)
     print(text)
     if args.out:

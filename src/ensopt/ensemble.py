@@ -11,6 +11,13 @@ scores every candidate against them at once, so one greedy step costs
 O(pool·N) for N samples, independent of the ensemble size.
 :func:`zero_one_ensemble_loss` scores one finished member list, as the final
 selections are reported.
+
+Zero-one scoring runs on bits.  A :class:`PredictionMatrix` packs, once, each
+model's one-hot votes into ``n_labels`` rows of ``ceil(N/64)`` 64-bit words.
+A scoring step packs the members' miss table in the same layout (bit
+``(c, i)``: one more vote for label ``c`` leaves sample ``i`` misclassified),
+ANDs it with each candidate's packed votes and counts the set bits.  A step
+therefore reads pool·n_labels·N bits instead of gathering pool·N 64-bit codes.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ class PredictionMatrix:
         self.rows = rows
         self.labels = labels
         self.n_labels = n_labels
+        self._onehot: np.ndarray | None = None
 
     @property
     def n_models(self) -> int:
@@ -56,6 +64,18 @@ class PredictionMatrix:
     @property
     def n_samples(self) -> int:
         return self.rows.shape[1]
+
+    def packed_onehot(self) -> np.ndarray:
+        """``(n_models, n_labels, ceil(N/64))`` words: does model ``m`` vote ``c`` on ``i``?
+
+        Packed along the samples on first use and kept; pad bits are zero.
+        """
+        if self._onehot is None:
+            bits = _bit_rows(self.n_models, self.n_labels, n=self.n_samples)
+            codes = np.arange(self.n_labels)[:, None]
+            np.equal(self.rows[:, None, :], codes, out=bits[..., : self.n_samples])
+            self._onehot = _pack_words(bits)
+        return self._onehot
 
 
 @dataclass(frozen=True)
@@ -88,6 +108,16 @@ class Ensemble:
         return Ensemble(tuple(slots))
 
 
+def _bit_rows(*lead: int, n: int) -> np.ndarray:
+    """Zeroed bools whose last axis pads ``n`` samples to whole 64-bit words."""
+    return np.zeros(lead + (-(-n // 64) * 64,), dtype=bool)
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of :func:`_bit_rows` into 64-bit words."""
+    return np.packbits(bits, axis=-1).view(np.uint64)
+
+
 def _check_members(members: Sequence[int], preds: PredictionMatrix) -> None:
     ids = np.asarray(members, dtype=np.int64)
     bad = ids[(ids < 0) | (ids >= preds.n_models)]
@@ -102,15 +132,7 @@ def _votes_from_counts(counts: np.ndarray) -> np.ndarray:
 
 def zero_one_ensemble_loss(members: Sequence[int], preds: PredictionMatrix) -> float:
     """Fraction of samples the majority vote misclassifies."""
-    if len(members) == 0:
-        raise ValueError("cannot score an empty member list")
-    _check_members(members, preds)
-    counts = np.zeros((preds.n_labels, preds.n_samples), dtype=np.int64)
-    cols = np.arange(preds.n_samples)
-    for m in members:
-        counts[preds.rows[m], cols] += 1
-    votes = _votes_from_counts(counts)
-    return float(np.mean(votes != preds.labels))
+    return VoteState(preds, members).zero_one()
 
 
 class VoteState:
@@ -142,15 +164,22 @@ class VoteState:
         self.correct += row == self.preds.labels
         self.members.append(int(h))
 
-    def _miss_table(self) -> np.ndarray:
-        """``(N, n_labels)`` table: does sample ``i`` miss after one more vote for ``c``?"""
+    def zero_one(self) -> float:
+        """Fraction of samples the members' majority vote misclassifies."""
+        if not self.members:
+            raise ValueError("cannot score an empty member list")
+        return float(np.mean(_votes_from_counts(self.counts) != self.preds.labels))
+
+    def _packed_miss_table(self) -> np.ndarray:
+        """Packed ``(n_labels, N)`` bits: does sample ``i`` miss after one more vote for ``c``?"""
         labels = self.preds.labels
-        table = np.empty((self.preds.n_samples, self.preds.n_labels), dtype=bool)
+        n = self.preds.n_samples
+        table = _bit_rows(self.preds.n_labels, n=n)
         for c in range(self.preds.n_labels):
             self.counts[c] += 1
-            table[:, c] = _votes_from_counts(self.counts) != labels
+            np.not_equal(_votes_from_counts(self.counts), labels, out=table[c, :n])
             self.counts[c] -= 1
-        return table
+        return _pack_words(table)
 
     def score_all(self, candidates: Sequence[int], loss: str) -> np.ndarray:
         """Loss of the members joined with each candidate, as one float64 vector.
@@ -168,10 +197,11 @@ class VoteState:
         n = self.preds.n_samples
         k = self.k + 1
         if loss == "zero_one":
-            # flat index i * n_labels + label into the row-major miss table
-            codes = np.take(self.preds.rows, cands, axis=0)
-            codes += self._cols * self.preds.n_labels
-            wrong = np.count_nonzero(self._miss_table().ravel().take(codes), axis=1)
+            # a candidate votes one label per sample, so its one-hot bits AND
+            # the miss table count the samples it leaves misclassified
+            misses = np.take(self.preds.packed_onehot(), cands, axis=0)
+            misses &= self._packed_miss_table()
+            wrong = np.bitwise_count(misses).sum(axis=(1, 2))
             # a mean of 0/1 values is its integer count over N, exactly
             return wrong / n
         hits = np.take(self.preds.rows, cands, axis=0) == self.preds.labels

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
 SQRT5 = math.sqrt(5.0)
@@ -133,16 +134,19 @@ def _factorize(K: np.ndarray, amplitude: float, noise: float) -> tuple[np.ndarra
     diag = K.reshape(-1)[:: t + 1]
     base = diag.copy()
     jitter = JITTER_START
-    while True:
-        np.add(base, noise + jitter * amplitude, out=diag)
-        try:
-            return np.linalg.cholesky(K), jitter
-        except np.linalg.LinAlgError:
+    # the gufunc behind np.linalg.cholesky, without its argument checks: where
+    # np.linalg.cholesky raises LinAlgError, it returns a factor of NaNs
+    with np.errstate(all="ignore"):
+        while True:
+            np.add(base, noise + jitter * amplitude, out=diag)
+            L = _umath_linalg.cholesky_lo(K, signature="d->d")
+            if not math.isnan(L[0, 0]):
+                return L, jitter
             jitter *= 10.0
             if jitter > JITTER_MAX * (1.0 + 1e-12):
                 raise NumericalError(
                     "covariance matrix is not positive definite at maximum jitter"
-                ) from None
+                )
 
 
 def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,9 +13,10 @@ are the text codec of integer rows that ``ensopt.artifact`` replaced by a
 byte-level one; the tests require the same file bytes and the same arrays or
 exception types.
 
-The margin losses score one member list from scratch; the tests require
-``VoteState.score_all`` to match them bit for bit, and ``VoteState`` here adds
-the member removal those tests drive it with.  ``encode`` inverts
+The zero-one and margin losses score one member list from scratch; the
+tests require ``VoteState.score_all`` and ``VoteState.zero_one`` to match
+them bit for bit, and ``VoteState`` here adds the member removal those tests
+drive it with.  ``encode`` inverts
 ``ensopt.hyperspace.decode``; ``kernel_matrix``, ``log_marginal_likelihood``
 and ``predict_one`` are the kernel, likelihood and one-point posterior the
 surrogate tests check against dense formulas.
@@ -36,7 +37,6 @@ from ensopt.ensemble import (
     Ensemble,
     PredictionMatrix,
     _check_members,
-    zero_one_ensemble_loss,
 )
 from ensopt.ensemble import VoteState as LibraryVoteState
 from ensopt.hyperspace import Config, ParamSpec, SearchSpace, decode, sample
@@ -290,6 +290,19 @@ def _squared_margin_loss_from_correct(correct: np.ndarray, k: int, n: int) -> fl
     return int(np.sum(wrong * wrong)) / (n * k * k)
 
 
+def zero_one_loss(members: Sequence[int], preds: PredictionMatrix) -> float:
+    """Fraction of samples the majority vote misclassifies, tallied from scratch."""
+    if len(members) == 0:
+        raise ValueError("cannot score an empty member list")
+    _check_members(members, preds)
+    counts = np.zeros((preds.n_labels, preds.n_samples), dtype=np.int64)
+    cols = np.arange(preds.n_samples)
+    for m in members:
+        counts[preds.rows[m], cols] += 1
+    # argmax scans labels in order, so ties go to the smallest label
+    return float(np.mean(np.argmax(counts, axis=0) != preds.labels))
+
+
 def margin_loss(members: Sequence[int], preds: PredictionMatrix) -> float:
     """Mean of (1 - margin) / 2; linear in each member's own error."""
     if len(members) == 0:
@@ -309,7 +322,7 @@ def squared_margin_loss(members: Sequence[int], preds: PredictionMatrix) -> floa
 
 
 LOSS_FNS = {
-    "zero_one": zero_one_ensemble_loss,
+    "zero_one": zero_one_loss,
     "margin": margin_loss,
     "squared_margin": squared_margin_loss,
 }

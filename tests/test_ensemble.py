@@ -13,12 +13,14 @@ from ensopt.ensemble import (
 )
 
 from oracles import (
+    LOSS_FNS,
     VoteState,
     eval_with_candidate,
     majority_vote,
     margin,
     margin_loss,
     squared_margin_loss,
+    zero_one_loss,
 )
 
 
@@ -363,13 +365,6 @@ class TestRoundRobinReplace:
             round_robin_replace(Ensemble((0, 1)), 2, range(3), FIXED, "zero_one")
 
 
-LOSS_FNS = {
-    "zero_one": zero_one_ensemble_loss,
-    "margin": margin_loss,
-    "squared_margin": squared_margin_loss,
-}
-
-
 def scratch_greedy(pool, preds, size, warm_k, loss_fn):
     """Greedy selection with every candidate scored from scratch by ``loss_fn``."""
     ids = sorted(set(int(h) for h in pool))
@@ -436,6 +431,59 @@ class TestVoteState:
             state.add(3)
         with pytest.raises(ValueError):
             state.score_all([0, -1], "zero_one")
+
+
+class TestBitsetZeroOne:
+    """Zero-one scoring from packed one-hot votes against the from-scratch tally."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1001])
+    @pytest.mark.parametrize("n_labels", [2, 3, 4])
+    def test_score_all_matches_from_scratch_bitwise(self, n, n_labels):
+        rng = np.random.default_rng(100 * n + n_labels)
+        # one label code is never predicted nor true
+        codes = np.delete(np.arange(n_labels), int(rng.integers(0, n_labels)))
+        preds = PredictionMatrix(rng.choice(codes, size=(9, n)), rng.choice(codes, size=n), n_labels)
+        state = VoteState(preds)
+        members = []
+        for _ in range(8):
+            # unsorted candidates with repeats, scored again after every add
+            cands = rng.integers(0, 9, size=14)
+            got = state.score_all(cands, "zero_one")
+            want = np.array([zero_one_loss(tuple(members) + (int(h),), preds) for h in cands])
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), (members, cands)
+            h = int(rng.integers(0, 9))
+            state.add(h)
+            members.append(h)
+            assert state.zero_one() == zero_one_loss(members, preds)
+            assert zero_one_ensemble_loss(members, preds) == zero_one_loss(members, preds)
+
+    @pytest.mark.parametrize("n", [1, 9, 64, 1001])
+    def test_packed_rows_are_one_hot_with_zero_pad_bits(self, n):
+        rng = np.random.default_rng(n)
+        preds = PredictionMatrix(rng.integers(0, 3, size=(5, n)), rng.integers(0, 3, size=n), 3)
+        packed = preds.packed_onehot()
+        assert packed.shape == (5, 3, -(-n // 64))
+        bits = np.unpackbits(packed.view(np.uint8), axis=2).astype(bool)
+        np.testing.assert_array_equal(bits[:, :, :n], preds.rows[:, None, :] == np.arange(3)[:, None])
+        assert not bits[:, :, n:].any()
+        VoteState(preds, (0, 1)).score_all(range(5), "zero_one")
+        assert preds.packed_onehot() is packed
+
+    def test_zero_one_matches_oracle_values(self):
+        assert VoteState(FIXED, (0, 1, 2)).zero_one() == zero_one_loss((0, 1, 2), FIXED) == 0.0
+        assert VoteState(FIXED, (1,)).zero_one() == zero_one_loss((1,), FIXED) == 0.5
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            preds = random_preds(rng)
+            members = tuple(int(v) for v in rng.integers(0, preds.n_models, size=5))
+            assert VoteState(preds, members).zero_one() == zero_one_loss(members, preds)
+
+    def test_empty_member_list_rejected(self):
+        with pytest.raises(ValueError):
+            VoteState(FIXED).zero_one()
+        with pytest.raises(ValueError):
+            zero_one_ensemble_loss((), FIXED)
 
 
 class TestSelectionTiesAndPools:

@@ -102,7 +102,8 @@ def unreferenced_public_definitions(sources: dict[str, str], readme: str) -> lis
 
     ``sources`` maps module names to source text.  A definition counts as used
     when some name or attribute outside its own body spells its name, in any
-    of the modules, or when ``readme`` documents it by name.
+    of the modules, or when ``readme`` names it inside a code span or a fenced
+    code block; a word of README prose does not document it.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
     references = [
@@ -111,7 +112,8 @@ def unreferenced_public_definitions(sources: dict[str, str], readme: str) -> lis
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
-    documented = set(re.findall(r"\w+", readme))
+    code = re.findall(r"```.*?```|`[^`]*`", readme, flags=re.DOTALL)
+    documented = set(re.findall(r"\w+", " ".join(code)))
     dead = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -134,13 +136,19 @@ def test_detector_flags_an_unused_public_definition():
         "    def side(self):\n        return 0\n"
         "    def unused(self):\n        return 1\n"
         "    def __repr__(self):\n        return ''\n"
+        "def fenced():\n    return 4\n"
+        "def sample():\n    return 5\n"
     )
     caller = "from .library import Shape, used\nVALUE = used() + Shape().area()\n"
-    readme = "Call `documented()` for a constant."
+    readme = (
+        "Call `documented()` for a constant; a sample run prints it.\n"
+        "```python\nfenced()\n```\n"
+    )
     found = unreferenced_public_definitions({"library": library, "caller": caller}, readme)
     assert found == [
         "library:dead (line 3)",
         "library:recursive (line 5)",
+        "library:sample (line 20)",
         "library:unused (line 14)",
     ]
 

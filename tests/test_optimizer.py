@@ -460,7 +460,7 @@ class TestArtifactRoundTrip:
         save_artifact(out, artifact, history)
         loaded = load_artifact(out)
 
-        assert loaded.engine == "eo"
+        assert loaded.run["engine"] == "eo"
         assert loaded.run["budget"] == 8
         assert loaded.run["seed"] == 13
         assert loaded.run["final"]["ensemble"]["slots"] == list(ensemble.slots)

@@ -425,6 +425,38 @@ class TestFastPaths:
         _, jitter = _factorize(np.ones((4, 4)) - 0.5 * JITTER_MAX * np.eye(4), 1.0, 0.0)
         assert jitter == pytest.approx(JITTER_MAX)
 
+    def test_factorize_matches_numpy_cholesky_bitwise(self):
+        """Same factor bits, and failure exactly where ``np.linalg.cholesky`` raises."""
+        rng = np.random.default_rng(43)
+        jitters = set()
+        for i in range(300):
+            t = int(rng.integers(1, 41))
+            A = rng.standard_normal((t, t))
+            half = A[:, : (t + 1) // 2]
+            # SPD, rank-deficient (needs jitter) and indefinite (fails throughout)
+            K = np.ascontiguousarray([A @ A.T + t * np.eye(t), half @ half.T, A + A.T][i % 3])
+            # with noise -JITTER_START the first shift is exactly zero
+            noise = -JITTER_START
+            jitter, want = JITTER_START, None
+            while jitter <= JITTER_MAX * (1.0 + 1e-12):
+                shifted = K.copy()
+                shifted.reshape(-1)[:: t + 1] += noise + jitter
+                try:
+                    want = np.linalg.cholesky(shifted)
+                    break
+                except np.linalg.LinAlgError:
+                    jitter *= 10.0
+            if want is None:
+                with pytest.raises(NumericalError):
+                    _factorize(K.copy(), 1.0, noise)
+                jitters.add(None)
+                continue
+            L, got_jitter = _factorize(K.copy(), 1.0, noise)
+            assert got_jitter == jitter
+            assert L.tobytes() == want.tobytes()
+            jitters.add(jitter)
+        assert {None, JITTER_START} < jitters
+
     def test_predict_batch_equals_solve_triangular_reference(self):
         rng = np.random.default_rng(41)
         sets = fast_path_sets(rng) + [rng.random((1, 2))]
