@@ -31,16 +31,7 @@ from .optimizer import (
     run_eo,
     select_best,
 )
-from .stats import (
-    NEMENYI_Q,
-    ResultTable,
-    average_errors,
-    friedman,
-    nemenyi_cd,
-    pairwise_report,
-    rank_groups,
-    repetition_ranks,
-)
+from .stats import NEMENYI_Q, Comparison, ResultTable, compare
 from .surrogate import NumericalError
 
 # each method: the engine that runs it and the ``final`` entry it reports
@@ -327,12 +318,38 @@ def cmd_post(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _format_matrix(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    table = [list(header)] + [list(r) for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table
-    )
+def _format_matrix(table: Sequence[Sequence[str]]) -> str:
+    """Right-aligned columns; the first row is the header."""
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in table)
+
+
+def _mean_table(result: Comparison, digits: int) -> list[list[str]]:
+    """Per-dataset means to ``digits`` places, both mean ranks to two fewer."""
+    return [["method", *result.datasets, "rank_means", "rank_reps"]] + [
+        [m, *(f"{e:.{digits}f}" for e in result.means[i])]
+        + [f"{r[i]:.{digits - 2}f}" for r in (result.mean_ranks, result.rep_ranks)]
+        for i, m in enumerate(result.methods)
+    ]
+
+
+def _p_table(result: Comparison, alpha: float | None = None) -> list[list[str]]:
+    """The p-values to 6 digits or, given ``alpha``, as printed: 4 digits,
+    '-' on the diagonal, '*' where significant, parentheses on the worse row."""
+
+    def cell(i: int, j: int) -> str:
+        p = result.p_values[i, j]
+        if alpha is None:
+            return f"{p:.6g}"
+        if i == j:
+            return "-"
+        text = f"{p:.4g}" + ("*" if p <= alpha else "")
+        return f"({text})" if result.row_worse[i, j] else text
+
+    k = len(result.methods)
+    return [["method", *result.methods]] + [
+        [m, *(cell(i, j) for j in range(k))] for i, m in enumerate(result.methods)
+    ]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -342,79 +359,37 @@ def cmd_compare(args: argparse.Namespace) -> int:
         table = ResultTable.from_csv(args.results)
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from None
-    if len(table.methods) < 2:
-        raise UsageError("need at least 2 methods to compare")
-    means = average_errors(table)
-    report = pairwise_report(table)
-    k, n_datasets = means.shape
-    rep_ranks = repetition_ranks(table)
+    try:
+        result = compare(table, args.alpha)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
-    rows = []
-    for i, m in enumerate(table.methods):
-        rows.append(
-            [m]
-            + [f"{means[i, j]:.4f}" for j in range(n_datasets)]
-            + [f"{report.mean_ranks[i]:.2f}", f"{rep_ranks[i]:.2f}"]
-        )
     print("Mean test error per dataset (rank_means from dataset means,")
     print("rank_reps averaged over repetitions):")
-    print(
-        _format_matrix(
-            ["method", *table.datasets, "rank_means", "rank_reps"], rows
-        )
-    )
+    print(_format_matrix(_mean_table(result, 4)))
     print()
     print(f"Pairwise Wilcoxon signed-rank p-values (alpha={args.alpha:g});")
     print("'*' marks significance, parentheses mark the worse-ranked row:")
-    prows = []
-    for i, m in enumerate(table.methods):
-        cells = [m]
-        for j in range(k):
-            if i == j:
-                cells.append("-")
-                continue
-            mark = "*" if report.p_values[i, j] <= args.alpha else ""
-            cell = f"{report.p_values[i, j]:.4g}{mark}"
-            if report.row_worse[i, j]:
-                cell = f"({cell})"
-            cells.append(cell)
-        prows.append(cells)
-    print(_format_matrix(["method", *table.methods], prows))
+    print(_format_matrix(_p_table(result, args.alpha)))
     print()
-    if k >= 3:
-        fr = friedman(means)
-        print(f"Friedman chi-square = {fr.statistic:.4f}, p = {fr.p_value:.6g}")
-        cd = nemenyi_cd(k, n_datasets, args.alpha)
-        print(f"Nemenyi critical difference = {cd:.4f}")
-        groups = rank_groups(report.mean_ranks, cd)
-        if groups:
-            for group in groups:
-                names = ", ".join(table.methods[i] for i in group)
-                print(f"not significantly different: {names}")
-        else:
-            print("all methods significantly different")
-    else:
+    if result.friedman is None:
         print("Friedman test skipped (needs at least 3 methods)")
+    else:
+        print("Friedman chi-square = %.4f, p = %.6g" % result.friedman)
+        print(f"Nemenyi critical difference = {result.cd:.4f}")
+        for group in result.groups:
+            print("not significantly different: " + ", ".join(result.methods[i] for i in group))
+        if not result.groups:
+            print("all methods significantly different")
 
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        with open(
-            os.path.join(args.out_dir, "mean_errors.csv"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write("method," + ",".join(table.datasets) + ",rank_means,rank_reps\n")
-            for i, m in enumerate(table.methods):
-                cells = [f"{means[i, j]:.6f}" for j in range(n_datasets)]
-                fh.write(
-                    f"{m}," + ",".join(cells)
-                    + f",{report.mean_ranks[i]:.4f},{rep_ranks[i]:.4f}\n"
-                )
-        with open(
-            os.path.join(args.out_dir, "pairwise_p.csv"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write("method," + ",".join(table.methods) + "\n")
-            for i, m in enumerate(table.methods):
-                cells = [f"{report.p_values[i, j]:.6g}" for j in range(k)]
-                fh.write(f"{m}," + ",".join(cells) + "\n")
+        for name, rows in (
+            ("mean_errors.csv", _mean_table(result, 6)),
+            ("pairwise_p.csv", _p_table(result)),
+        ):
+            with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
+                fh.write("".join(",".join(row) + "\n" for row in rows))
     return EXIT_OK
 
 

@@ -1,16 +1,19 @@
 """Nonparametric comparison of methods over datasets and repetitions.
 
 Implements the usual protocol for comparing classifiers across many
-datasets: per-dataset mean errors, Wilcoxon signed-rank tests for pairs,
-the Friedman rank test across all methods and the Nemenyi critical
-difference for post-hoc grouping.
+datasets (Demsar 2006) as one ``compare`` result: per-dataset mean errors
+and mean ranks, Wilcoxon signed-rank tests for every pair (exact p up to
+20 datasets, the normal approximation beyond), the Friedman rank test
+across all methods and the Nemenyi critical difference for post-hoc
+grouping.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -80,25 +83,14 @@ class ResultTable:
             if reader.fieldnames is None or not required <= set(reader.fieldnames):
                 raise ValueError(f"{path}: expected columns {sorted(required)}")
             for row in reader:
+                if any(row[name] is None for name in required):
+                    raise ValueError(f"{path}: line {reader.line_num} has too few fields")
                 rows.append(
                     (row["method"], row["dataset"], row["repetition"], float(row["error"]))
                 )
         if not rows:
             raise ValueError(f"{path}: no result rows")
         return cls.from_records(rows)
-
-
-def average_errors(table: ResultTable) -> np.ndarray:
-    """Mean error per (method, dataset) across repetitions."""
-    return table.errors.mean(axis=2)
-
-
-def repetition_ranks(table: ResultTable) -> np.ndarray:
-    """Each method's rank within every (dataset, repetition) cell, averaged.
-
-    Ranks are multiples of 0.5, so the sum is exact in any order.
-    """
-    return rankdata(table.errors, axis=0).mean(axis=(1, 2))
 
 
 @dataclass
@@ -111,13 +103,20 @@ class WilcoxonResult:
 
 
 def _exact_two_sided(ranks: np.ndarray, t_observed: float) -> float:
-    n = ranks.size
-    masks = np.arange(2**n, dtype=np.uint64)
-    bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1
-    w_plus = bits.astype(float) @ ranks
-    total = float(ranks.sum())
-    count = int(np.sum(w_plus <= t_observed)) + int(np.sum(w_plus >= total - t_observed))
-    return min(1.0, count / 2.0**n)
+    """Share of the 2^n sign assignments at least as extreme as ``t_observed``.
+
+    Mid ranks are multiples of 0.5, so doubled they are integers: the
+    assignments are counted per doubled W+ value, one rank at a time.
+    """
+    doubled = np.rint(2.0 * ranks).astype(np.int64)
+    total = int(doubled.sum())
+    counts = np.zeros(total + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in doubled:
+        counts[r:] += counts[:-r].copy()
+    t = int(2.0 * t_observed)
+    count = int(counts[: t + 1].sum()) + int(counts[total - t :].sum())
+    return min(1.0, count / 2.0**ranks.size)
 
 
 def wilcoxon_signed_rank(
@@ -129,7 +128,7 @@ def wilcoxon_signed_rank(
 
     Zero differences are dropped; tied absolute differences receive mid
     ranks.  With at most ``exact_cutoff`` non-zero differences the p-value
-    enumerates all sign assignments, otherwise it uses the normal
+    is exact over all sign assignments, otherwise it uses the normal
     approximation with tie and continuity corrections.  Identical inputs
     yield p = 1 with the degenerate flag set.
     """
@@ -160,21 +159,6 @@ def wilcoxon_signed_rank(
     return WilcoxonResult(t_observed, p, n, exact=False)
 
 
-@dataclass
-class FriedmanResult:
-    statistic: float
-    p_value: float
-    mean_ranks: np.ndarray
-
-
-def ranks_from_errors(errors: np.ndarray) -> np.ndarray:
-    """Per-dataset ranks of each method (rank 1 = lowest error, mid ranks)."""
-    errors = np.asarray(errors, dtype=float)
-    if errors.ndim != 2:
-        raise ValueError("errors must be [method, dataset]")
-    return np.column_stack([rankdata(errors[:, j]) for j in range(errors.shape[1])])
-
-
 def friedman_from_ranks(mean_ranks: Sequence[float] | np.ndarray, n_datasets: int) -> tuple[float, float]:
     """Friedman chi-square statistic and p-value from average ranks."""
     ranks = np.asarray(mean_ranks, dtype=float)
@@ -190,75 +174,75 @@ def friedman_from_ranks(mean_ranks: Sequence[float] | np.ndarray, n_datasets: in
     return stat, p
 
 
-def friedman(errors: np.ndarray) -> FriedmanResult:
-    """Friedman rank test on a [method, dataset] mean-error matrix."""
-    errors = np.asarray(errors, dtype=float)
-    if errors.ndim != 2:
-        raise ValueError("errors must be [method, dataset]")
-    ranks = ranks_from_errors(errors)
-    mean_ranks = ranks.mean(axis=1)
-    stat, p = friedman_from_ranks(mean_ranks, errors.shape[1])
-    return FriedmanResult(stat, p, mean_ranks)
-
-
 def nemenyi_cd(k: int, n_datasets: int, alpha: float = 0.05) -> float:
     """Critical rank difference below which methods are indistinguishable."""
     if alpha not in NEMENYI_Q:
         raise ValueError(f"alpha must be one of {sorted(NEMENYI_Q)}")
     if not 2 <= k <= 10:
-        raise ValueError("tabulated critical values cover 2 <= k <= 10")
+        raise ValueError(f"the Nemenyi critical values cover 2 to 10 methods, got {k}")
     if n_datasets < 2:
         raise ValueError("need at least 2 datasets")
     q = NEMENYI_Q[alpha][k - 2]
     return q * math.sqrt(k * (k + 1) / (6.0 * n_datasets))
 
 
-@dataclass
-class PairwiseReport:
-    """All-pairs Wilcoxon p-values with a worse-than orientation matrix."""
-
-    methods: tuple[str, ...]
-    p_values: np.ndarray
-    row_worse: np.ndarray
-    mean_ranks: np.ndarray
-
-
-def pairwise_report(table: ResultTable, exact_cutoff: int = 20) -> PairwiseReport:
-    """Pairwise signed-rank tests on per-dataset mean errors.
-
-    ``p_values`` is symmetric with 1.0 on the diagonal; ``row_worse[i, j]``
-    marks that method ``i`` has the worse (higher) average rank of the pair.
-    """
-    means = average_errors(table)
-    k = means.shape[0]
-    mean_ranks = ranks_from_errors(means).mean(axis=1)
-    p = np.ones((k, k))
-    worse = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            res = wilcoxon_signed_rank(means[i], means[j], exact_cutoff=exact_cutoff)
-            p[i, j] = p[j, i] = res.p_value
-            if mean_ranks[i] > mean_ranks[j]:
-                worse[i, j] = True
-            elif mean_ranks[j] > mean_ranks[i]:
-                worse[j, i] = True
-    return PairwiseReport(table.methods, p, worse, mean_ranks)
-
-
 def rank_groups(mean_ranks: np.ndarray, cd: float) -> list[tuple[int, ...]]:
     """Maximal groups of methods whose rank span is within ``cd``."""
     order = np.argsort(mean_ranks, kind="stable")
+    ranks = mean_ranks[order]
     groups: list[tuple[int, ...]] = []
-    k = order.size
-    for start in range(k):
+    for start in range(order.size):
         end = start
-        while (
-            end + 1 < k
-            and mean_ranks[order[end + 1]] - mean_ranks[order[start]] <= cd
-        ):
+        while end + 1 < order.size and ranks[end + 1] - ranks[start] <= cd:
             end += 1
         if end > start:
-            group = tuple(int(order[i]) for i in range(start, end + 1))
+            group = tuple(int(i) for i in order[start : end + 1])
             if not groups or not set(group) <= set(groups[-1]):
                 groups.append(group)
     return groups
+
+
+@dataclass
+class Comparison:
+    """The comparison protocol's result for one results table.
+
+    ``means`` is [method, dataset]; ``mean_ranks`` ranks those means per
+    dataset and ``rep_ranks`` ranks every (dataset, repetition) cell.
+    ``p_values`` holds the pairwise Wilcoxon tests on the means, symmetric
+    with 1.0 on the diagonal; ``row_worse[i, j]`` marks that method ``i`` has
+    the worse (higher) mean rank of the pair.  The Friedman ``(statistic,
+    p)``, the Nemenyi ``cd`` and its ``groups`` need 3 or more methods.
+    """
+
+    methods: tuple[str, ...]
+    datasets: tuple[str, ...]
+    means: np.ndarray
+    mean_ranks: np.ndarray
+    rep_ranks: np.ndarray
+    p_values: np.ndarray
+    row_worse: np.ndarray
+    friedman: tuple[float, float] | None = None
+    cd: float | None = None
+    groups: list[tuple[int, ...]] = field(default_factory=list)
+
+
+def compare(table: ResultTable, alpha: float = 0.05) -> Comparison:
+    """Run the whole protocol; ``ValueError`` when the table cannot be tested."""
+    means = table.errors.mean(axis=2)
+    k, n_datasets = means.shape
+    if k < 2:
+        raise ValueError("need at least 2 methods to compare")
+    mean_ranks = rankdata(means, axis=0).mean(axis=1)
+    p = np.ones((k, k))
+    for i, j in itertools.combinations(range(k), 2):
+        p[i, j] = p[j, i] = wilcoxon_signed_rank(means[i], means[j], exact_cutoff=20).p_value
+    # every (dataset, repetition) cell ranked: ranks are multiples of 0.5,
+    # so the mean over cells is exact in any summation order
+    rep_ranks = rankdata(table.errors, axis=0).mean(axis=(1, 2))
+    worse = mean_ranks[:, None] > mean_ranks[None, :]
+    result = Comparison(table.methods, table.datasets, means, mean_ranks, rep_ranks, p, worse)
+    if k >= 3:
+        result.friedman = friedman_from_ranks(mean_ranks, n_datasets)
+        result.cd = nemenyi_cd(k, n_datasets, alpha)
+        result.groups = rank_groups(mean_ranks, result.cd)
+    return result

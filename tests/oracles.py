@@ -19,7 +19,10 @@ them bit for bit, and ``VoteState`` here adds the member removal those tests
 drive it with.  ``encode`` inverts
 ``ensopt.hyperspace.decode``; ``kernel_matrix``, ``log_marginal_likelihood``
 and ``predict_one`` are the kernel, likelihood and one-point posterior the
-surrogate tests check against dense formulas.
+surrogate tests check against dense formulas.  ``exact_two_sided`` is the
+sign-vector enumeration behind the exact Wilcoxon p-value that
+``ensopt.stats`` replaced by counting; the tests require the same p bit for
+bit.
 """
 
 from __future__ import annotations
@@ -425,3 +428,21 @@ def predict_one(state: GpState, x: np.ndarray) -> tuple[float, float]:
     """Posterior mean and variance at one point, in raw target units."""
     mean, var = state.predict_batch(np.asarray(x, dtype=float)[None, :])
     return float(mean[0]), float(var[0])
+
+
+def exact_two_sided(ranks: np.ndarray, t_observed: float) -> float:
+    """Exact two-sided signed-rank p by enumerating every sign vector.
+
+    The enumeration ``ensopt.stats`` replaced by counting doubled W+ values,
+    taken 2^14 sign vectors at a time so that n = 20 stays small in memory.
+    """
+    n = ranks.size
+    total = float(ranks.sum())
+    shifts = np.arange(n, dtype=np.uint64)
+    count = 0
+    for start in range(0, 2**n, 2**14):
+        masks = np.arange(start, min(start + 2**14, 2**n), dtype=np.uint64)
+        bits = (masks[:, None] >> shifts) & 1
+        w_plus = bits.astype(float) @ ranks
+        count += int(np.sum(w_plus <= t_observed)) + int(np.sum(w_plus >= total - t_observed))
+    return min(1.0, count / 2.0**n)

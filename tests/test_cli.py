@@ -13,6 +13,15 @@ from ensopt.optimizer import post_hoc
 
 TOY_CSV = os.path.join(os.path.dirname(__file__), "data", "toy.csv")
 
+# each directory holds a results.csv and the exact stdout (per alpha),
+# mean_errors.csv and pairwise_p.csv that `compare` produced for it before
+# the report moved into `stats.compare`: the 18-dataset table below, two
+# methods, five tied methods with repetitions (two of them identical),
+# 20 datasets (largest exact Wilcoxon), and 22 datasets (normal
+# approximation) both mixed and with every method strictly separated
+COMPARE_DATA = os.path.join(os.path.dirname(__file__), "data", "compare")
+GOLDEN_TABLES = sorted(os.listdir(COMPARE_DATA))
+
 # frozen benchmark mean errors (percent) for 4 tuning strategies on 18
 # datasets; the derived average ranks and every statistic asserted below
 # were checked by hand against this table
@@ -484,6 +493,42 @@ class TestCompareCommand:
         assert cli.main(["compare", "--results", results, "--alpha", "0.2"]) == 1
         assert cli.main(["compare", "--results", str(tmp_path / "none.csv")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("alpha", ["0.05", "0.10"])
+    @pytest.mark.parametrize("name", GOLDEN_TABLES)
+    def test_report_matches_golden_bytes(self, tmp_path, capsys, name, alpha):
+        golden = os.path.join(COMPARE_DATA, name)
+        out_dir = tmp_path / "report"
+        assert cli.main([
+            "compare", "--results", os.path.join(golden, "results.csv"),
+            "--alpha", alpha, "--out-dir", str(out_dir),
+        ]) == 0
+        with open(os.path.join(golden, f"stdout_{alpha}.txt"), "rb") as fh:
+            assert capsys.readouterr().out.encode("utf-8") == fh.read()
+        for report in ("mean_errors.csv", "pairwise_p.csv"):
+            with open(os.path.join(golden, report), "rb") as fh:
+                assert (out_dir / report).read_bytes() == fh.read()
+
+    @pytest.mark.parametrize(
+        "n_methods, n_datasets", [(11, 3), (3, 1)], ids=["eleven-methods", "one-dataset"]
+    )
+    def test_untestable_table_is_usage_error_before_printing(
+        self, tmp_path, capsys, n_methods, n_datasets
+    ):
+        # more methods than the Nemenyi table covers, or a Friedman test on
+        # one dataset: the command exits 1 and prints no partial report
+        path = tmp_path / "results.csv"
+        lines = ["method,dataset,repetition,error"] + [
+            f"m{i:02d},d{j},1,{(i + 3 * j) % 8 / 8.0}"
+            for i in range(n_methods)
+            for j in range(n_datasets)
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["compare", "--results", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
 
 class TestSeedParsing:

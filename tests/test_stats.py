@@ -2,24 +2,32 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from ensopt.stats import (
-    PairwiseReport,
     ResultTable,
-    average_errors,
-    friedman,
+    _exact_two_sided,
+    compare,
     friedman_from_ranks,
     nemenyi_cd,
-    pairwise_report,
     rank_groups,
-    ranks_from_errors,
-    repetition_ranks,
     wilcoxon_signed_rank,
 )
+from oracles import exact_two_sided
+
+
+def table_of(errors) -> ResultTable:
+    """A [method, dataset] matrix as a one-repetition results table."""
+    errors = np.asarray(errors, dtype=float)
+    return ResultTable(
+        errors[:, :, None],
+        tuple(f"m{i}" for i in range(errors.shape[0])),
+        tuple(f"d{j}" for j in range(errors.shape[1])),
+    )
 
 
 def oracle_midranks(values: list[float]) -> list[float]:
@@ -149,6 +157,36 @@ class TestWilcoxon:
         assert scaled.statistic == base.statistic
         assert scaled.p_value == base.p_value
 
+    def test_exact_count_matches_enumeration_bitwise(self):
+        rng = np.random.default_rng(61)
+        for n in range(1, 21):
+            for trial in range(4):
+                # coarse magnitudes tie often; trial 0 draws distinct ones
+                if trial == 0:
+                    magnitudes = rng.permutation(n) + 1.0
+                else:
+                    magnitudes = rng.integers(1, max(2, n // 3) + 1, size=n) / 4.0
+                ranks = scipy_stats.rankdata(magnitudes)
+                signs = rng.random(n) < rng.random()
+                w_plus = float(ranks[signs].sum())
+                t_observed = min(w_plus, float(ranks.sum()) - w_plus)
+                ours = _exact_two_sided(ranks, t_observed)
+                assert ours.hex() == exact_two_sided(ranks, t_observed).hex(), (n, trial)
+
+    def test_twenty_pairs_build_no_sign_matrix(self):
+        # enumerating 2^20 sign vectors took a (2^20, 20) array, 160 MB
+        rng = np.random.default_rng(67)
+        a = rng.integers(0, 9, size=20) / 8.0
+        b = a + (rng.permutation(20) + 1.0) / 64.0 * rng.choice([-1.0, 1.0], size=20)
+        tracemalloc.start()
+        try:
+            res = wilcoxon_signed_rank(a, b, exact_cutoff=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exact and res.n_effective == 20
+        assert peak < 1_000_000
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0, 2.0], [1.0])
@@ -159,9 +197,9 @@ class TestWilcoxon:
 class TestFriedman:
     def test_identical_methods_give_null_result(self):
         errors = np.tile(np.array([0.2, 0.3, 0.4, 0.5]), (3, 1))
-        res = friedman(errors)
-        assert res.statistic == pytest.approx(0.0)
-        assert res.p_value == pytest.approx(1.0)
+        res = compare(table_of(errors))
+        assert res.friedman[0] == pytest.approx(0.0)
+        assert res.friedman[1] == pytest.approx(1.0)
         np.testing.assert_allclose(res.mean_ranks, [2.0, 2.0, 2.0])
 
     def test_consistent_ordering_hand_value(self):
@@ -174,18 +212,18 @@ class TestFriedman:
                 [0.3, 0.4, 0.35, 0.32],
             ]
         )
-        res = friedman(errors)
-        assert res.statistic == pytest.approx(8.0)
-        assert res.p_value == pytest.approx(math.exp(-4.0), rel=1e-12)
+        res = compare(table_of(errors))
+        assert res.friedman[0] == pytest.approx(8.0)
+        assert res.friedman[1] == pytest.approx(math.exp(-4.0), rel=1e-12)
         np.testing.assert_allclose(res.mean_ranks, [1.0, 2.0, 3.0])
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(41)
         errors = rng.random((4, 12))
-        res = friedman(errors)
+        stat, p = compare(table_of(errors)).friedman
         ref = scipy_stats.friedmanchisquare(*[errors[i] for i in range(4)])
-        assert res.statistic == pytest.approx(float(ref.statistic), rel=1e-10)
-        assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-10)
+        assert stat == pytest.approx(float(ref.statistic), rel=1e-10)
+        assert p == pytest.approx(float(ref.pvalue), rel=1e-10)
 
     def test_per_dataset_monotone_transform_invariance(self):
         rng = np.random.default_rng(43)
@@ -194,32 +232,36 @@ class TestFriedman:
         warped = errors.copy()
         for j in range(errors.shape[1]):
             warped[:, j] = transforms[j % 4](errors[:, j])
-        a = friedman(errors)
-        b = friedman(warped)
-        assert a.statistic == b.statistic
+        a = compare(table_of(errors))
+        b = compare(table_of(warped))
+        assert a.friedman[0] == b.friedman[0]
         np.testing.assert_array_equal(a.mean_ranks, b.mean_ranks)
 
     def test_rank_entry_point_agrees_with_error_entry_point(self):
         rng = np.random.default_rng(47)
         errors = rng.random((5, 9))
-        res = friedman(errors)
-        stat, p = friedman_from_ranks(res.mean_ranks, errors.shape[1])
-        assert stat == pytest.approx(res.statistic, rel=1e-12)
-        assert p == pytest.approx(res.p_value, rel=1e-12)
+        res = compare(table_of(errors))
+        assert res.friedman == friedman_from_ranks(res.mean_ranks, errors.shape[1])
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             friedman_from_ranks([1.5, 1.5], 10)
         with pytest.raises(ValueError):
             friedman_from_ranks([1.0, 2.0, 3.0], 1)
-        with pytest.raises(ValueError):
-            friedman(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="2 datasets"):
+            compare(table_of(np.zeros((3, 1))))
+        with pytest.raises(ValueError, match="2 methods"):
+            compare(table_of(np.zeros((1, 4))))
 
-    def test_ranks_from_errors_uses_midranks(self):
-        errors = np.array([[0.1, 0.2], [0.1, 0.1], [0.3, 0.1]])
-        ranks = ranks_from_errors(errors)
-        np.testing.assert_allclose(ranks[:, 0], [1.5, 1.5, 3.0])
-        np.testing.assert_allclose(ranks[:, 1], [3.0, 1.5, 1.5])
+    def test_mean_ranks_use_midranks(self):
+        first, second = [0.1, 0.1, 0.3], [0.2, 0.1, 0.1]
+        # a dataset listed twice has its own ranks as the mean ranks
+        ranks = compare(table_of(np.column_stack([first, first]))).mean_ranks
+        np.testing.assert_allclose(ranks, [1.5, 1.5, 3.0])
+        ranks = compare(table_of(np.column_stack([second, second]))).mean_ranks
+        np.testing.assert_allclose(ranks, [3.0, 1.5, 1.5])
+        ranks = compare(table_of(np.column_stack([first, second]))).mean_ranks
+        np.testing.assert_allclose(ranks, [2.25, 1.5, 2.25])
 
 
 class TestNemenyi:
@@ -266,12 +308,12 @@ class TestRankGroups:
         assert rank_groups(np.array([1.0, 2.0, 3.0]), cd=0.5) == []
 
 
-class TestPairwiseReport:
+class TestCompare:
     def test_symmetry_and_diagonal(self):
         rng = np.random.default_rng(53)
         errors = rng.random((3, 6, 2)) * 0.5
         table = ResultTable(errors, ("m1", "m2", "m3"), tuple("d" + str(i) for i in range(6)))
-        report = pairwise_report(table)
+        report = compare(table)
         np.testing.assert_allclose(report.p_values, report.p_values.T)
         np.testing.assert_allclose(np.diag(report.p_values), 1.0)
         assert not report.row_worse.diagonal().any()
@@ -283,7 +325,7 @@ class TestPairwiseReport:
         base = rng.random(18) * 0.4 + 0.3
         errors = np.stack([base - 0.05, base + 0.05])[:, :, None]
         table = ResultTable(errors, ("good", "bad"), tuple(f"d{i}" for i in range(18)))
-        report = pairwise_report(table)
+        report = compare(table)
         assert report.p_values[0, 1] == pytest.approx(2.0 / 2.0**18, rel=1e-12)
         assert report.row_worse[1, 0]
         assert not report.row_worse[0, 1]
@@ -296,7 +338,7 @@ class TestPairwiseReport:
             ]
         )
         table = ResultTable(errors, ("a", "b"), ("d0", "d1", "d2"))
-        report = pairwise_report(table)
+        report = compare(table)
         # mean ranks: a = (1+1+2)/3, b = (2+2+1)/3
         assert report.mean_ranks[0] < report.mean_ranks[1]
         assert report.row_worse[1, 0]
@@ -314,7 +356,7 @@ class TestRepetitionRanks:
             for r in range(3):
                 expected += np.array(oracle_midranks(list(errors[:, j, r])))
         expected /= 7 * 3
-        assert repetition_ranks(table).tobytes() == expected.tobytes()
+        assert compare(table).rep_ranks.tobytes() == expected.tobytes()
 
 
 class TestResultTable:
@@ -328,7 +370,7 @@ class TestResultTable:
         table = ResultTable.from_records(rows)
         assert table.methods == ("m1", "m2")
         assert table.datasets == ("d1", "d2")
-        np.testing.assert_allclose(average_errors(table), [[0.1, 0.2], [0.3, 0.4]])
+        np.testing.assert_allclose(compare(table).means, [[0.1, 0.2], [0.3, 0.4]])
 
     def test_duplicate_cell_rejected(self):
         rows = [("m", "d", "r", 0.1), ("m", "d", "r", 0.2)]
@@ -366,4 +408,10 @@ class TestResultTable:
         path = tmp_path / "bad.csv"
         path.write_text("method,error\nm1,0.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match="expected columns"):
+            ResultTable.from_csv(str(path))
+
+    def test_csv_short_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("method,dataset,repetition,error\nm1,d1,1,0.5\nm1,d2,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3 has too few fields"):
             ResultTable.from_csv(str(path))
