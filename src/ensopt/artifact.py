@@ -198,15 +198,14 @@ def load_artifact(directory: str) -> LoadedRun:
     ):
         if codes.size and (codes.min() < 0 or codes.max() >= n_labels):
             raise ValueError(f"{directory}: {name} holds codes outside [0, {n_labels})")
+    if [entry.get("id") for entry in configs] != list(range(len(configs))):
+        raise ValueError(f"{directory}: non-contiguous model ids in configs.json")
     history = History(labels_val, labels_test, n_labels)
-    for entry, val_row, test_row in zip(configs, val_rows, test_rows):
-        record = history.append(
-            Config(dict(entry["values"])),
-            np.asarray(entry["point"], dtype=float),
-            val_row,
-            test_row,
-            degenerate=bool(entry.get("degenerate", False)),
-        )
-        if record.id != entry["id"]:
-            raise ValueError(f"{directory}: non-contiguous model ids in configs.json")
+    history.extend(
+        [Config(dict(entry["values"])) for entry in configs],
+        [entry["point"] for entry in configs],
+        val_rows,
+        test_rows,
+        [bool(entry.get("degenerate", False)) for entry in configs],
+    )
     return LoadedRun(run=run, history=history, space=space)

@@ -201,21 +201,21 @@ def cross_val_predictions(
     Each fold is predicted by a model trained on the remaining folds, giving
     exactly one prediction per non-test index (returned in non-test index
     order).  The test row comes from a model retrained on the full non-test
-    portion.
+    portion.  The fold models and the refit are trained in one ``train``
+    call, so every training set is checked before any fit.
     """
     nontest = plan.non_test(data.n_samples)
-    val_row = np.full(nontest.size, -1, dtype=np.int64)
-    for fold in plan.folds:
-        if fold.size == 0:
-            continue
+    folds = [fold for fold in plan.folds if fold.size]
+    training_sets = []
+    for fold in folds:
         train_mask = np.ones(data.n_samples, dtype=bool)
         train_mask[plan.test] = False
         train_mask[fold] = False
-        train_idx = np.flatnonzero(train_mask)
-        model = train(algo, config, data.subset(train_idx))
+        training_sets.append(data.subset(np.flatnonzero(train_mask)))
+    *fold_models, final = train(algo, config, [*training_sets, data.subset(nontest)])
+    val_row = np.full(nontest.size, -1, dtype=np.int64)
+    for fold, model in zip(folds, fold_models):
         # nontest is sorted, so searchsorted finds each fold index's position
         val_row[np.searchsorted(nontest, fold)] = predict(model, data.features[fold])
-    final = train(algo, config, data.subset(nontest))
     test_row = predict(final, data.features[plan.test])
     return val_row, test_row
-

@@ -2,15 +2,18 @@
 
 Four algorithms share one ``train``/``predict`` interface: k-nearest
 neighbours, a CART-style decision tree, Gaussian naive Bayes and a
-one-vs-rest regularized linear classifier.  Training on a single-class
-subset yields a constant model flagged as degenerate instead of an error.
+one-vs-rest regularized linear classifier.  ``train`` fits one
+configuration on a sequence of datasets, such as every cross-validation
+fold and the refit, in one call.  Training on a single-class subset yields
+a constant model flagged as degenerate instead of an error.
 
 k-nearest neighbours takes every training row strictly closer than the k-th
 smallest distance, then the rows at exactly that distance in training order
 until k are chosen; the vote goes to the smallest label among the most
-frequent.  The linear classifier trains its one-vs-rest classes jointly in
-one stacked state, with one matrix-vector product per class and step, so
-each class follows the same arithmetic as if it were trained alone.
+frequent.  The linear classifier steps every class of every dataset in one
+stacked state, with one matrix-vector product per class and step against
+that class's own dataset, so each class follows the same arithmetic as if
+it were trained alone on its dataset.
 """
 
 from __future__ import annotations
@@ -122,28 +125,41 @@ def _standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, sd
 
 
-def train(algo: str, config: Config, data: Dataset) -> TrainedModel:
-    """Fit one base classifier on ``data``.
+def train(algo: str, config: Config, datasets: Sequence[Dataset]) -> list[TrainedModel]:
+    """Fit one base classifier per dataset, returned in ``datasets`` order.
 
-    Feature standardization, where an algorithm uses it, is fit on this
-    training data only and reapplied unchanged at prediction time.
+    All fits of one configuration, such as every cross-validation fold and
+    the refit, go through one call.  Every dataset is checked before any
+    fit: the sequence must be non-empty, no dataset empty and all of them
+    share one feature count.  A single-class dataset yields a constant model
+    flagged as degenerate.  Feature standardization, where an algorithm uses
+    it, is fit on each training set only and reapplied unchanged at
+    prediction time.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
-    if data.n_samples == 0:
+    if len(datasets) == 0:
+        raise ValueError("no datasets to train on")
+    if any(data.n_samples == 0 for data in datasets):
         raise ValueError("cannot train on an empty dataset")
+    if len({data.n_features for data in datasets}) > 1:
+        raise ValueError("datasets disagree on the feature count")
+    if algo == "linear":
+        (C,) = map(float, _require(config, "linear"))
+        return _train_linear(C, datasets)
+    trainer = {"knn": _train_knn, "tree": _train_tree, "gnb": _train_gnb}[algo]
+    return [
+        _constant_model(algo, data) or TrainedModel(algo, trainer(config, data))
+        for data in datasets
+    ]
+
+
+def _constant_model(algo: str, data: Dataset) -> TrainedModel | None:
+    """The degenerate constant model of a single-class dataset, else ``None``."""
     present = np.unique(data.labels)
-    if present.size == 1:
-        # single-class subset: constant prediction, flagged for the caller
-        return TrainedModel(algo, {"constant": int(present[0])}, degenerate=True)
-    trainer = {
-        "knn": _train_knn,
-        "tree": _train_tree,
-        "gnb": _train_gnb,
-        "linear": _train_linear,
-    }[algo]
-    params = trainer(config, data)
-    return TrainedModel(algo, params)
+    if present.size > 1:
+        return None
+    return TrainedModel(algo, {"constant": int(present[0])}, degenerate=True)
 
 
 def predict(model: TrainedModel, features: np.ndarray) -> np.ndarray:
@@ -349,49 +365,81 @@ def _predict_gnb(params: dict[str, Any], X: np.ndarray) -> np.ndarray:
 LINEAR_ITERATIONS = 500
 
 
-def _train_linear(config: Config, data: Dataset) -> dict[str, Any]:
-    (C,) = map(float, _require(config, "linear"))
+def _train_linear(C: float, datasets: Sequence[Dataset]) -> list[TrainedModel]:
+    """One-vs-rest fits of every multi-class dataset, stepped in one stacked state.
+
+    Row r of the weights, gradients and biases is one class of one dataset
+    and keeps that dataset's n and C*n.  Margins and targets of dataset f sit
+    in a ``(K_f, n_f)`` view of one flat buffer, so the elementwise chain of a
+    step runs once over all of them.  The products stay one BLAS gemv per
+    row against the dataset's own features: padding the datasets into one
+    3-d product would change the summation blocks of the gradient dots, so
+    every row follows the arithmetic of a class trained alone.
+    """
     if C <= 0.0:
         raise ValueError("C must be positive")
-    mean, sd = _standardize_stats(data.features)
-    X = (data.features - mean) / sd
-    n = X.shape[0]
-    present = np.unique(data.labels)
-    # row i holds class present[i]: targets, margins, weights, gradients
-    T = np.where(data.labels[None, :] == present[:, None], 1.0, -1.0)
-    Z = np.empty((present.size, n))
-    weights = np.zeros((present.size, data.n_features))
+    models = [_constant_model("linear", data) for data in datasets]
+    live = [f for f, model in enumerate(models) if model is None]
+    if not live:
+        return models
+    scalings = [_standardize_stats(datasets[f].features) for f in live]
+    classes = [np.unique(datasets[f].labels) for f in live]
+    counts = [present.size for present in classes]
+    sizes = [datasets[f].n_samples for f in live]
+    row_ends = np.cumsum(counts)
+    flat_ends = np.cumsum([k * n for k, n in zip(counts, sizes)])
+    Z = np.empty(flat_ends[-1])
+    T = np.empty_like(Z)
+    weights = np.zeros((row_ends[-1], datasets[0].n_features))
     G = np.empty_like(weights)
-    biases = np.zeros(present.size)
-    Cn = C * n
+    biases = np.zeros(row_ends[-1])
+    margin_sums = np.empty_like(biases)
+    n_rows = np.repeat(np.array(sizes, dtype=float), counts)
+    n_cols = n_rows[:, None]
+    Cn_cols = C * n_cols
+    rows = [slice(end - k, end) for k, end in zip(counts, row_ends)]
+    # the views each step's per-dataset products read and write
+    margin_steps, gradient_steps = [], []
+    for f, (mean, sd), present, r, flat_end in zip(live, scalings, classes, rows, flat_ends):
+        data = datasets[f]
+        k, n = present.size, data.n_samples
+        Z_f = Z[flat_end - k * n : flat_end].reshape(k, n)
+        T[flat_end - k * n : flat_end] = np.where(
+            data.labels[None, :] == present[:, None], 1.0, -1.0
+        ).ravel()
+        X = (data.features - mean) / sd
+        margin_steps.append((X, weights[r, :, None], Z_f[:, :, None], Z_f, biases[r, None]))
+        gradient_steps.append((X.T, Z_f[:, :, None], G[r, :, None], Z_f, margin_sums[r]))
     # extreme C can overflow under the fixed step schedule; IEEE semantics
     # still give deterministic (if useless) predictions, so silence the flags
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(LINEAR_ITERATIONS):
             step = 0.1 / (1.0 + 0.01 * it)
-            # one gemv per class: a single stacked gemm rounds differently
-            for i in range(present.size):
-                np.dot(X, weights[i], out=Z[i])
-            Z += biases[:, None]
+            for X, W3_f, Z3_f, Z_f, b_f in margin_steps:
+                np.matmul(X, W3_f, out=Z3_f)
+                Z_f += b_f
             Z *= T
             np.minimum(np.maximum(Z, -500.0, out=Z), 500.0, out=Z)
             np.exp(Z, out=Z)
             Z += 1.0
             np.divide(T, Z, out=Z)
-            for i in range(present.size):
-                np.dot(X.T, Z[i], out=G[i])
-            grad_b = -(np.add.reduce(Z, axis=1) / n)
-            weights = weights - step * (-G / n + weights / Cn)
-            biases = biases - step * grad_b
-    return {
-        "n_features": data.n_features,
-        "mean": mean,
-        "sd": sd,
-        "classes": present,
-        "weights": weights,
-        "biases": biases,
-        "n_labels": data.n_labels,
-    }
+            for XT, Z3_f, G3_f, Z_f, sums_f in gradient_steps:
+                np.matmul(XT, Z3_f, out=G3_f)
+                np.add.reduce(Z_f, axis=1, out=sums_f)
+            grad_b = -(margin_sums / n_rows)
+            weights -= step * (-G / n_cols + weights / Cn_cols)
+            biases -= step * grad_b
+    for f, (mean, sd), present, r in zip(live, scalings, classes, rows):
+        models[f] = TrainedModel("linear", {
+            "n_features": datasets[f].n_features,
+            "mean": mean,
+            "sd": sd,
+            "classes": present,
+            "weights": weights[r].copy(),
+            "biases": biases[r].copy(),
+            "n_labels": datasets[f].n_labels,
+        })
+    return models
 
 
 def _predict_linear(params: dict[str, Any], X: np.ndarray) -> np.ndarray:

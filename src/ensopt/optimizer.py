@@ -83,23 +83,49 @@ class History:
         test_row: np.ndarray,
         degenerate: bool = False,
     ) -> HistoryRecord:
-        val_row = np.asarray(val_row, dtype=np.int64)
-        test_row = np.asarray(test_row, dtype=np.int64)
-        if val_row.shape != self.labels_val.shape:
+        # one-row views, so the record keeps the caller's int64 rows uncopied
+        val_rows = np.asarray(val_row, dtype=np.int64)[None]
+        test_rows = np.asarray(test_row, dtype=np.int64)[None]
+        return self.extend([config], [point], val_rows, test_rows, [degenerate])[0]
+
+    def extend(
+        self,
+        configs: Sequence[Config],
+        points: Sequence[np.ndarray] | np.ndarray,
+        val_rows: Sequence[np.ndarray] | np.ndarray,
+        test_rows: Sequence[np.ndarray] | np.ndarray,
+        degenerate: Sequence[bool],
+    ) -> list[HistoryRecord]:
+        """Add one record per config, with the next ids, in the order given."""
+        m = len(configs)
+        if m == 0:
+            return []
+        val_rows = np.asarray(val_rows, dtype=np.int64)
+        test_rows = np.asarray(test_rows, dtype=np.int64)
+        if val_rows.shape != (m, *self.labels_val.shape):
             raise ValueError("validation row shape mismatch")
-        if test_row.shape != self.labels_test.shape:
+        if test_rows.shape != (m, *self.labels_test.shape):
             raise ValueError("test row shape mismatch")
-        record = HistoryRecord(
-            id=len(self.records),
-            config=config,
-            point=np.asarray(point, dtype=float).copy(),
-            val_row=val_row,
-            test_row=test_row,
-            val_loss=float(np.mean(val_row != self.labels_val)),
-            degenerate=degenerate,
-        )
-        self.records.append(record)
-        return record
+        points = np.array(points, dtype=float)
+        if len(points) != m or len(degenerate) != m:
+            raise ValueError("configs, points and degenerate flags differ in length")
+        # counting 0/1 mismatches is exact, so this equals the per-row mean
+        losses = np.count_nonzero(val_rows != self.labels_val, axis=1) / self.labels_val.size
+        start = len(self.records)
+        added = [
+            HistoryRecord(
+                id=start + i,
+                config=configs[i],
+                point=points[i],
+                val_row=val_rows[i],
+                test_row=test_rows[i],
+                val_loss=float(losses[i]),
+                degenerate=bool(degenerate[i]),
+            )
+            for i in range(m)
+        ]
+        self.records.extend(added)
+        return added
 
     def points(self) -> np.ndarray:
         return np.array([r.point for r in self.records])

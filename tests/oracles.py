@@ -205,11 +205,11 @@ def cross_val_predictions(
         train_mask[plan.test] = False
         train_mask[fold] = False
         train_idx = np.flatnonzero(train_mask)
-        model = train(algo, config, data.subset(train_idx))
+        model = train(algo, config, [data.subset(train_idx)])[0]
         preds = predict(model, data.features[fold])
         for idx, p in zip(fold, preds):
             val_row[position[int(idx)]] = p
-    final = train(algo, config, data.subset(nontest))
+    final = train(algo, config, [data.subset(nontest)])[0]
     test_row = predict(final, data.features[plan.test])
     return val_row, test_row
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ensopt import learners
 from ensopt.hyperspace import Config
 from ensopt.learners import (
     ALGORITHMS,
@@ -70,7 +71,7 @@ class TestDefaultSpace:
 class TestKnn:
     def test_one_neighbor_memorizes_training_data(self):
         data = blob_dataset([(0, 0), (4, 4)], 20, 1.0, seed=1)
-        model = train("knn", Config({"n_neighbors": 1}), data)
+        model = train("knn", Config({"n_neighbors": 1}), [data])[0]
         assert error_rate(model, data) == 0.0
 
     def test_three_neighbor_hand_case(self):
@@ -80,7 +81,7 @@ class TestKnn:
             np.array([0, 0, 1, 1, 1]),
             ("a", "b"),
         )
-        model = train("knn", Config({"n_neighbors": 3}), data)
+        model = train("knn", Config({"n_neighbors": 3}), [data])[0]
         queries = np.array([[1.5], [4.0], [9.0]])
         # 1.5: neighbours {1,2,0} vote 0; 4.0: {2,1,0} vote 0; 9.0: {10,11,2} vote 1
         np.testing.assert_array_equal(predict(model, queries), [0, 0, 1])
@@ -92,7 +93,7 @@ class TestKnn:
             np.array([0, 1, 1]),
             ("a", "b"),
         )
-        model = train("knn", Config({"n_neighbors": 2}), data)
+        model = train("knn", Config({"n_neighbors": 2}), [data])[0]
         # both duplicates are picked; the 1-1 vote falls to the smaller label
         np.testing.assert_array_equal(predict(model, np.array([[0.0]])), [0])
 
@@ -102,7 +103,7 @@ class TestKnn:
             np.array([1, 0]),
             ("a", "b"),
         )
-        model = train("knn", Config({"n_neighbors": 2}), data)
+        model = train("knn", Config({"n_neighbors": 2}), [data])[0]
         np.testing.assert_array_equal(predict(model, np.array([[0.05]])), [0])
 
     def test_neighbor_count_clamped_to_training_size(self):
@@ -111,7 +112,7 @@ class TestKnn:
             np.array([0, 1, 1]),
             ("a", "b"),
         )
-        model = train("knn", Config({"n_neighbors": 30}), data)
+        model = train("knn", Config({"n_neighbors": 30}), [data])[0]
         assert model.params["k"] == 3
         # with every point voting, the overall majority label wins everywhere
         np.testing.assert_array_equal(
@@ -121,7 +122,7 @@ class TestKnn:
     def test_missing_parameter_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
         with pytest.raises(ValueError, match="n_neighbors"):
-            train("knn", Config({}), data)
+            train("knn", Config({}), [data])
 
 
 class TestKnnMatchesStableSort:
@@ -147,7 +148,7 @@ class TestKnnMatchesStableSort:
             labels[:n_labels] = np.arange(n_labels)
             data = Dataset(features, labels, tuple("abcd"[:n_labels]))
             neighbours = n if k == "all" else k
-            model = train("knn", Config({"n_neighbors": neighbours}), data)
+            model = train("knn", Config({"n_neighbors": neighbours}), [data])[0]
             np.testing.assert_array_equal(
                 predict(model, queries), predict_knn(model.params, queries)
             )
@@ -164,7 +165,7 @@ class TestTree:
             ("a", "b"),
         )
         cfg = dict(TREE_CFG, max_depth=1)
-        model = train("tree", Config(cfg), data)
+        model = train("tree", Config(cfg), [data])[0]
         assert error_rate(model, data) == 0.5
 
     def test_depth_two_solves_xor(self):
@@ -174,7 +175,7 @@ class TestTree:
             ("a", "b"),
         )
         cfg = dict(TREE_CFG, max_depth=2)
-        model = train("tree", Config(cfg), data)
+        model = train("tree", Config(cfg), [data])[0]
         assert error_rate(model, data) == 0.0
 
     def test_threshold_is_midpoint_of_best_boundary(self):
@@ -183,7 +184,7 @@ class TestTree:
             np.array([0, 0, 1, 1]),
             ("a", "b"),
         )
-        model = train("tree", Config(dict(TREE_CFG, max_depth=1)), data)
+        model = train("tree", Config(dict(TREE_CFG, max_depth=1)), [data])[0]
         root = model.params["root"]
         assert root["feature"] == 0
         assert root["threshold"] == 1.5
@@ -195,13 +196,13 @@ class TestTree:
             np.array([0, 1]),
             ("a", "b"),
         )
-        model = train("tree", Config(dict(TREE_CFG, max_depth=1)), data)
+        model = train("tree", Config(dict(TREE_CFG, max_depth=1)), [data])[0]
         assert model.params["root"]["feature"] == 0
 
     def test_structural_constraints_respected(self):
         data = blob_dataset([(0, 0), (2, 2), (4, 0)], 70, 1.2, seed=3)
         cfg = {"max_depth": 3, "min_samples_split": 10, "min_samples_leaf": 5}
-        model = train("tree", Config(cfg), data)
+        model = train("tree", Config(cfg), [data])[0]
         root = model.params["root"]
 
         leaf_counts: dict[int, int] = {}
@@ -225,7 +226,7 @@ class TestTree:
     def test_invalid_configuration_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
         with pytest.raises(ValueError):
-            train("tree", Config(dict(TREE_CFG, max_depth=0)), data)
+            train("tree", Config(dict(TREE_CFG, max_depth=0)), [data])
 
 
 class TestGaussianNaiveBayes:
@@ -235,7 +236,7 @@ class TestGaussianNaiveBayes:
             np.array([0, 0, 1, 1]),
             ("a", "b"),
         )
-        model = train("gnb", Config({}), data)
+        model = train("gnb", Config({}), [data])[0]
         smoothing = 1e-9 * np.var([0.0, 2.0, 10.0, 14.0])
         np.testing.assert_allclose(model.params["means"], [[1.0], [12.0]])
         np.testing.assert_allclose(
@@ -251,14 +252,14 @@ class TestGaussianNaiveBayes:
             np.array([0, 0, 1, 1]),
             ("a", "b"),
         )
-        model = train("gnb", Config({}), data)
+        model = train("gnb", Config({}), [data])[0]
         np.testing.assert_array_equal(
             predict(model, np.array([[1.0], [5.0], [13.0]])), [0, 1, 1]
         )
 
     def test_two_blob_accuracy(self):
         data = blob_dataset([(0, 0), (5, 5)], 200, 1.0, seed=7)
-        model = train("gnb", Config({}), data)
+        model = train("gnb", Config({}), [data])[0]
         assert error_rate(model, data) <= 0.02
 
     def test_absent_label_never_predicted(self):
@@ -268,7 +269,7 @@ class TestGaussianNaiveBayes:
             np.array([0, 0, 2, 2]),
             ("a", "b", "c"),
         )
-        model = train("gnb", Config({}), data)
+        model = train("gnb", Config({}), [data])[0]
         preds = predict(model, np.linspace(-5, 15, 50)[:, None])
         assert set(preds.tolist()) <= {0, 2}
 
@@ -280,18 +281,18 @@ class TestLinear:
             np.array([0, 0, 1, 1]),
             ("a", "b"),
         )
-        model = train("linear", Config({"C": 100.0}), data)
+        model = train("linear", Config({"C": 100.0}), [data])[0]
         assert error_rate(model, data) == 0.0
 
     def test_three_class_blobs(self):
         data = blob_dataset([(0, 0), (6, 0), (3, 6)], 60, 0.8, seed=11)
-        model = train("linear", Config({"C": 10.0}), data)
+        model = train("linear", Config({"C": 10.0}), [data])[0]
         assert error_rate(model, data) <= 0.02
 
     def test_strong_regularization_shrinks_weights(self):
         data = blob_dataset([(0, 0), (4, 4)], 40, 1.0, seed=5)
-        loose = train("linear", Config({"C": 1e4}), data)
-        tight = train("linear", Config({"C": 1e-2}), data)
+        loose = train("linear", Config({"C": 1e4}), [data])[0]
+        tight = train("linear", Config({"C": 1e-2}), [data])[0]
         assert np.linalg.norm(tight.params["weights"]) < np.linalg.norm(
             loose.params["weights"]
         )
@@ -299,7 +300,7 @@ class TestLinear:
     def test_nonpositive_c_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
         with pytest.raises(ValueError):
-            train("linear", Config({"C": 0.0}), data)
+            train("linear", Config({"C": 0.0}), [data])
 
 
 class TestLinearMatchesOneClassAtATime:
@@ -322,23 +323,74 @@ class TestLinearMatchesOneClassAtATime:
         labels = codes[rng.integers(0, n_classes, size=n)]
         labels[:n_classes] = codes
         data = Dataset(features, labels, tuple(str(c) for c in range(n_classes + 1)))
-        model = train("linear", Config({"C": C}), data)
+        model = train("linear", Config({"C": C}), [data])[0]
         weights, biases = train_linear(C, data)
         # C = 1e-5 makes the weight decay diverge, so NaN bits must match too
         assert model.params["weights"].tobytes() == weights.tobytes()
         assert model.params["biases"].tobytes() == biases.tobytes()
 
 
+def mixed_datasets(d: int, seed: int) -> list[Dataset]:
+    """Live datasets of differing n and class count around a single-class one."""
+    rng = np.random.default_rng(seed)
+
+    def make(n: int, codes: list[int]) -> Dataset:
+        features = rng.normal(size=(n, d)) * rng.uniform(0.5, 4.0, size=d)
+        labels = np.array(codes)[rng.integers(0, len(codes), size=n)]
+        labels[: len(codes)] = codes
+        return Dataset(features, labels, ("a", "b", "c", "d"))
+
+    return [
+        make(97, [0, 1, 2, 3]),
+        make(13, [2]),
+        make(240, [0, 2, 3]),  # code 1 absent: three rows, not four
+        make(7, [1, 3]),
+        make(150, [0, 1]),
+    ]
+
+
+class TestLinearStackMatchesOneDatasetAtATime:
+    """Datasets stepped in one stacked state carry the bits of separate fits."""
+
+    @pytest.mark.parametrize("C", [1e-5, 1e-2, 1.0, 1e3, 1e5])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_weights_and_biases_equal_oracle(self, C, d):
+        datasets = mixed_datasets(d, seed=40 + d)
+        models = train("linear", Config({"C": C}), datasets)
+        assert [m.degenerate for m in models] == [False, True, False, False, False]
+        assert models[1].params == {"constant": 2}
+        for data, model in zip(datasets, models):
+            if model.degenerate:
+                continue
+            weights, biases = train_linear(C, data)
+            # C = 1e-5 makes the weight decay diverge, so NaN bits must match too
+            assert model.params["weights"].tobytes() == weights.tobytes()
+            assert model.params["biases"].tobytes() == biases.tobytes()
+            np.testing.assert_array_equal(model.params["classes"], np.unique(data.labels))
+
+
+def assert_same_params(a, b) -> None:
+    """Recursive equality of model parameters, arrays compared bit for bit."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_same_params(a[key], b[key])
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    else:
+        assert type(a) is type(b) and a == b
+
+
 class TestTrainFrontDoor:
     def test_unknown_algorithm_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
         with pytest.raises(ValueError, match="unknown algorithm"):
-            train("forest", Config({}), data)
+            train("forest", Config({}), [data])
 
     def test_empty_dataset_rejected(self):
         data = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), ("a", "b"))
         with pytest.raises(ValueError, match="empty"):
-            train("knn", Config({"n_neighbors": 1}), data)
+            train("knn", Config({"n_neighbors": 1}), [data])
 
     def test_single_class_training_set_degenerates(self):
         data = Dataset(
@@ -347,7 +399,7 @@ class TestTrainFrontDoor:
             ("a", "b"),
         )
         for algo in ALGORITHMS:
-            model = train(algo, Config(TREE_CFG | {"n_neighbors": 3, "C": 1.0}), data)
+            model = train(algo, Config(TREE_CFG | {"n_neighbors": 3, "C": 1.0}), [data])[0]
             assert model.degenerate
             np.testing.assert_array_equal(
                 predict(model, np.array([[-9.0], [9.0]])), [1, 1]
@@ -362,13 +414,13 @@ class TestTrainFrontDoor:
     def test_training_is_deterministic(self, algo, cfg):
         data = blob_dataset([(0, 0), (3, 3), (6, 0)], 30, 1.5, seed=2)
         queries = np.random.default_rng(9).normal(3.0, 3.0, size=(40, 2))
-        a = predict(train(algo, Config(cfg), data), queries)
-        b = predict(train(algo, Config(cfg), data), queries)
+        a = predict(train(algo, Config(cfg), [data])[0], queries)
+        b = predict(train(algo, Config(cfg), [data])[0], queries)
         np.testing.assert_array_equal(a, b)
 
     def test_non_finite_features_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 10, 1.0, seed=1)
-        model = train("knn", Config({"n_neighbors": 3}), data)
+        model = train("knn", Config({"n_neighbors": 3}), [data])[0]
         for value in (np.nan, np.inf, -np.inf):
             features = data.features.copy()
             features[3, 1] = value
@@ -379,11 +431,49 @@ class TestTrainFrontDoor:
 
     def test_feature_dimension_mismatch_rejected(self):
         data = blob_dataset([(0, 0), (4, 4)], 10, 1.0, seed=1)
-        model = train("gnb", Config({}), data)
+        model = train("gnb", Config({}), [data])[0]
         with pytest.raises(ValueError, match="dimension"):
             predict(model, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_several_datasets_equal_separate_calls(self, algo):
+        config = Config(TREE_CFG | {"n_neighbors": 4, "C": 1.0})
+        datasets = mixed_datasets(2, seed=50)[:3]
+        together = train(algo, config, datasets)
+        assert len(together) == len(datasets)
+        for data, model in zip(datasets, together):
+            (alone,) = train(algo, config, [data])
+            assert (model.algo, model.degenerate) == (alone.algo, alone.degenerate)
+            assert_same_params(model.params, alone.params)
+
+    def test_empty_dataset_sequence_rejected(self):
+        with pytest.raises(ValueError, match="no datasets"):
+            train("knn", Config({"n_neighbors": 1}), [])
+
+    @pytest.fixture
+    def knn_fits(self, monkeypatch):
+        """Records every kNN fit, so a test can see that none ran."""
+        fits = []
+        monkeypatch.setattr(
+            learners, "_train_knn", lambda config, data: fits.append(data) or {}
+        )
+        return fits
+
+    def test_differing_feature_counts_rejected_before_any_fit(self, knn_fits):
+        narrow = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
+        wide = Dataset(np.hstack([narrow.features] * 2), narrow.labels, narrow.label_names)
+        with pytest.raises(ValueError, match="feature count"):
+            train("knn", Config({"n_neighbors": 1}), [narrow, wide])
+        assert knn_fits == []
+
+    def test_later_empty_dataset_rejected_before_any_fit(self, knn_fits):
+        data = blob_dataset([(0, 0), (4, 4)], 5, 1.0, seed=1)
+        empty = data.subset([])
+        with pytest.raises(ValueError, match="empty"):
+            train("knn", Config({"n_neighbors": 1}), [data, data, empty])
+        assert knn_fits == []
+
     def test_metadata_recorded(self):
         data = blob_dataset([(0, 0), (4, 4)], 10, 1.0, seed=1)
-        model = train("knn", Config({"n_neighbors": 2}), data)
+        model = train("knn", Config({"n_neighbors": 2}), [data])[0]
         assert model.algo == "knn"

@@ -1,6 +1,7 @@
 """Tests for the sequential optimization loop and run artifacts."""
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -450,6 +451,39 @@ class TestSelection:
             evaluate_on_test(Ensemble.empty(3), toy_history())
 
 
+class TestHistoryExtend:
+    @pytest.mark.parametrize("n", [1, 7, 1000, 1337])
+    def test_extend_equals_one_append_per_row(self, n):
+        rng = np.random.default_rng(n)
+        labels_val, labels_test = rng.integers(0, 3, size=n), rng.integers(0, 3, size=5)
+        val_rows = rng.integers(0, 3, size=(40, n))
+        test_rows = rng.integers(0, 3, size=(40, 5))
+        points = rng.random((40, 2))
+        flags = list(rng.random(40) < 0.2)
+        configs = [{"k": i} for i in range(40)]
+        one, many = History(labels_val, labels_test, 3), History(labels_val, labels_test, 3)
+        for row in zip(configs, points, val_rows, test_rows, flags):
+            one.append(*row)
+        many.append(*next(zip(configs, points, val_rows, test_rows, flags)))
+        added = many.extend(configs[1:], points[1:], val_rows[1:], test_rows[1:], flags[1:])
+        assert [r.id for r in added] == list(range(1, 40))
+        for a, b in zip(one.records, many.records):
+            assert (a.id, a.config, a.degenerate) == (b.id, b.config, b.degenerate)
+            assert a.point.tobytes() == b.point.tobytes()
+            np.testing.assert_array_equal(a.val_row, b.val_row)
+            np.testing.assert_array_equal(a.test_row, b.test_row)
+            # the count-based loss carries the bits of the per-row mean
+            assert a.val_loss == b.val_loss == float(np.mean(b.val_row != labels_val))
+
+    def test_extend_rejects_row_shape_mismatch(self):
+        history = History(np.array([0, 1, 1]), np.array([0]), 2)
+        with pytest.raises(ValueError, match="validation row"):
+            history.extend([None], [[0.5]], [[0, 1]], [[0]], [False])
+        with pytest.raises(ValueError, match="test row"):
+            history.extend([None] * 2, [[0.5]] * 2, [[0, 1, 1]] * 2, [[0]], [False] * 2)
+        assert len(history) == 0
+
+
 class TestArtifactRoundTrip:
     def test_save_and_load_preserve_run(self, tmp_path):
         history, ensemble, artifact = run_eo(
@@ -474,6 +508,19 @@ class TestArtifactRoundTrip:
             np.testing.assert_allclose(orig.point, back.point)
             assert orig.val_loss == back.val_loss
         assert loaded.space.names == ("u",)
+
+    def test_non_contiguous_ids_rejected(self, tmp_path):
+        history, artifact = run_bo(UNIT, PointHashStub(), 4, init=2, seed=3, settings=FAST)
+        out = str(tmp_path / "run")
+        save_artifact(out, artifact, history)
+        path = os.path.join(out, artifact_io.CONFIGS_FILE)
+        with open(path, "r", encoding="utf-8") as fh:
+            configs = json.load(fh)
+        configs[2]["id"] = 3
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(configs, fh)
+        with pytest.raises(ValueError, match="non-contiguous"):
+            load_artifact(out)
 
     def test_digests_survive_round_trip(self, tmp_path):
         history, artifact = run_bo(UNIT, PointHashStub(), 7, init=3, seed=29, settings=FAST)
