@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .hyperspace import SearchSpace
-from .surrogate import GpState
+from .surrogate import GpState, SampleStack
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 VARIANCE_FLOOR = -1e-10
@@ -22,7 +22,8 @@ class AcquisitionContext:
 
     ``best`` is the incumbent loss in raw units.  ``candidates`` uniform
     points are scored and the best one is polished by ``refinements`` rounds
-    of coordinate-wise Gaussian perturbation.
+    of coordinate-wise Gaussian perturbation.  The states must share one
+    observation set, as the hyperparameter samples of one posterior do.
     """
 
     states: Sequence[GpState]
@@ -48,13 +49,25 @@ def _ei_batch(means: np.ndarray, variances: np.ndarray, best: float) -> np.ndarr
     return np.maximum(out, 0.0)
 
 
+def _mean_ei(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Mean of per-sample EI rows, added one sample at a time in order.
+
+    numpy's own sum over the sample axis would add in a pairwise order.
+    """
+    total = np.zeros(len(rows[0]))
+    for row in rows:
+        total += row
+    return total / len(rows)
+
+
 def _score(ctx: AcquisitionContext, points: np.ndarray) -> np.ndarray:
-    """Mean EI across all GP states for each row of ``points``."""
-    total = np.zeros(points.shape[0])
-    for state in ctx.states:
-        means, variances = state.predict_batch(points)
-        total += _ei_batch(means, variances, ctx.best)
-    return total / len(ctx.states)
+    """Mean EI across all GP states for each row of ``points``, one state at a time."""
+    return _mean_ei([_ei_batch(*state.predict_batch(points), ctx.best) for state in ctx.states])
+
+
+def _score_stacked(stack: SampleStack, best: float, points: np.ndarray) -> np.ndarray:
+    """``_score`` with every state's prediction and EI made in one stacked pass."""
+    return _mean_ei(_ei_batch(*stack.predict(points), best))
 
 
 def next_point(
@@ -73,9 +86,12 @@ def next_point(
 
     ``candidate_points`` replaces the uniform draw when given; it is meant
     for diagnostics such as scoring a fixed grid.
+
+    The candidate batch is scored one state at a time, which keeps its
+    temporaries in cache; each refinement move is scored for all states in
+    one stacked pass.
     """
-    if len(ctx.states) == 0:
-        raise ValueError("at least one GP state is required")
+    stack = SampleStack.of(ctx.states)
     d = space.dimension
     if candidate_points is None:
         points = rng.random((ctx.candidates, d))
@@ -93,7 +109,7 @@ def next_point(
         for axis in range(d):
             prop = best_point.copy()
             prop[axis] = min(max(prop[axis] + rng.normal(0.0, 0.02), 0.0), 1.0)
-            score = _score(ctx, prop[None, :])[0]
+            score = _score_stacked(stack, ctx.best, prop[None, :])[0]
             if score > best_score:
                 best_point = prop
                 best_score = score

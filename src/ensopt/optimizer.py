@@ -45,7 +45,6 @@ class SearchSettings:
     burn_in: int = 30
     gp_samples: int = 10
     thin: int = 2
-    priors: HyperPriors = field(default_factory=HyperPriors)
     candidates: int = 1000
     refinements: int = 20
 
@@ -114,15 +113,23 @@ class History:
         start = len(self.records)
         added = [
             HistoryRecord(
-                id=start + i,
-                config=configs[i],
-                point=points[i],
-                val_row=val_rows[i],
-                test_row=test_rows[i],
-                val_loss=float(losses[i]),
-                degenerate=bool(degenerate[i]),
+                id=i,
+                config=config,
+                point=point,
+                val_row=val_row,
+                test_row=test_row,
+                val_loss=loss,
+                degenerate=bool(flag),
             )
-            for i in range(m)
+            for i, config, point, val_row, test_row, loss, flag in zip(
+                range(start, start + m),
+                configs,
+                points,
+                val_rows,
+                test_rows,
+                losses.tolist(),
+                degenerate,
+            )
         ]
         self.records.extend(added)
         return added
@@ -264,7 +271,7 @@ def _propose(
     obs = ObservationSet(points, losses)
     hyper_samples = slice_sample_hypers(
         obs,
-        settings.priors,
+        HyperPriors(),
         settings.gp_samples,
         rng,
         burn_in=settings.burn_in,

@@ -113,14 +113,24 @@ class ObservationSet:
 
 
 def _sqdists(A: np.ndarray, A_sqnorms: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of A and B, given A's column of row norms."""
-    d2 = A_sqnorms + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    """Squared distances between the rows of A and B, given A's column of row norms.
+
+    Stacks ``(S, t, d)`` and ``(S, m, d)`` give ``(S, t, m)``: each sample's
+    slice goes through the same BLAS and reduction calls as its 2-d form.
+    """
+    d2 = A_sqnorms + (B * B).sum(axis=-1)[..., None, :] - 2.0 * (A @ B.swapaxes(-1, -2))
     return np.maximum(d2, 0.0)
 
 
-def _kernel_from_sqdists(r2: np.ndarray, amplitude: float) -> np.ndarray:
+def _matern_shape(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitude-free factors of the Matern-5/2 kernel: polynomial and exponential."""
     r = np.sqrt(r2)
-    return amplitude * (1.0 + SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-SQRT5 * r)
+    return 1.0 + SQRT5 * r + (5.0 / 3.0) * r2, np.exp(-SQRT5 * r)
+
+
+def _kernel_from_sqdists(r2: np.ndarray, amplitude: float | np.ndarray) -> np.ndarray:
+    poly, e = _matern_shape(r2)
+    return amplitude * poly * e
 
 
 def _factorize(K: np.ndarray, amplitude: float, noise: float) -> tuple[np.ndarray, float]:
@@ -157,6 +167,61 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+@dataclass(frozen=True, eq=False)
+class SampleStack:
+    """GP states over one observation set, stacked along a leading sample axis.
+
+    Prediction runs every sample's kernel arithmetic as one batched numpy
+    call per step; only the triangular solve is made once per sample.  Each
+    sample's slice goes through the BLAS, LAPACK and reduction calls its own
+    ``GpState.predict_batch`` makes, so the results agree bit for bit.
+    """
+
+    obs: ObservationSet
+    scaled: np.ndarray  # (S, t, d): the inputs over each sample's lengthscales
+    sqnorms: np.ndarray  # (S, t, 1): squared row norms of ``scaled``
+    lengthscales: np.ndarray  # (S, d)
+    amplitudes: np.ndarray  # (S, 1, 1)
+    alpha: np.ndarray  # (S, t, 1): the standardized targets solved against K
+    tris: tuple[tuple[np.ndarray, int, int], ...]  # per sample: dtrtrs operand, lower, trans
+
+    @classmethod
+    def of(cls, states: Sequence[GpState]) -> SampleStack:
+        """Stack ``states``, which must be conditioned on one observation set."""
+        if len(states) == 0:
+            raise ValueError("at least one GP state is required")
+        obs = states[0].obs
+        if any(state.obs is not obs for state in states):
+            raise ValueError("stacked GP states must share one observation set")
+        parts = [state.stack for state in states]
+        return cls(
+            obs,
+            *(
+                np.concatenate([getattr(p, name) for p in parts])
+                for name in ("scaled", "sqnorms", "lengthscales", "amplitudes", "alpha")
+            ),
+            tuple(tri for p in parts for tri in p.tris),
+        )
+
+    def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and variances, ``(S, m)`` each, at the rows of ``X``, in raw units."""
+        r2 = _sqdists(self.scaled, self.sqnorms, X / self.lengthscales[:, None, :])
+        k_star = _kernel_from_sqdists(r2, self.amplitudes)
+        mean_std = (k_star.swapaxes(1, 2) @ self.alpha)[:, :, 0]
+        squares = np.empty((len(self.tris), X.shape[0], self.obs.size))
+        for s, (tri, lower, trans) in enumerate(self.tris):
+            v, info = dtrtrs(tri, k_star[s], lower, trans)
+            if info != 0:
+                raise NumericalError(f"triangular solve failed (info {info})")
+            # v is Fortran-ordered, so each row of squares[s] is one of its
+            # columns in the same contiguous order that a column sum runs over
+            np.multiply(v.T, v.T, out=squares[s])
+        var_std = np.maximum(self.amplitudes[:, :, 0] - squares.sum(axis=2), 0.0)
+        mean = mean_std * self.obs.scale + self.obs.mean
+        var = var_std * self.obs.scale**2
+        return mean, var
+
+
 class GpState:
     """A GP conditioned on an observation set under fixed hyperparameters."""
 
@@ -166,39 +231,38 @@ class GpState:
         self.obs = obs
         self.hypers = hypers
         # query-independent halves of the kernel and of the triangular solve
-        self._scaled = obs.inputs / hypers.lengthscales
-        self._sqnorms = (self._scaled * self._scaled).sum(axis=1)[:, None]
+        scaled = obs.inputs / hypers.lengthscales
+        sqnorms = (scaled * scaled).sum(axis=1)[:, None]
         # a distinct second operand keeps the product a general matrix
         # multiply: with the same array twice numpy may round it as a
         # symmetric rank-k update
-        r2 = _sqdists(self._scaled, self._sqnorms, self._scaled.copy())
+        r2 = _sqdists(scaled, sqnorms, scaled.copy())
         K = _kernel_from_sqdists(r2, hypers.amplitude)
         self.chol, self.jitter = _factorize(K, hypers.amplitude, hypers.noise)
-        self.alpha = _cho_solve(self.chol, obs.targets)
+        alpha = _cho_solve(self.chol, obs.targets)
         # the LAPACK call scipy.linalg.solve_triangular(chol, b, lower=True)
         # makes: the transposed factor when the factor is not Fortran-ordered
         if self.chol.flags.f_contiguous:
-            self._tri = (self.chol, 1, 0)
+            tri = (self.chol, 1, 0)
         else:
-            self._tri = (self.chol.T, 0, 1)
+            tri = (self.chol.T, 0, 1)
+        self.stack = SampleStack(
+            obs,
+            scaled[None],
+            sqnorms[None],
+            hypers.lengthscales[None],
+            np.full((1, 1, 1), hypers.amplitude),
+            alpha[None, :, None],
+            (tri,),
+        )
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at the rows of ``X``, in raw target units."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.obs.dimension:
             raise ValueError("query points must match the observation dimension")
-        amplitude = self.hypers.amplitude
-        r2 = _sqdists(self._scaled, self._sqnorms, X / self.hypers.lengthscales)
-        k_star = _kernel_from_sqdists(r2, amplitude)
-        mean_std = k_star.T @ self.alpha
-        tri, lower, trans = self._tri
-        v, info = dtrtrs(tri, k_star, lower=lower, trans=trans)
-        if info != 0:
-            raise NumericalError(f"triangular solve failed (info {info})")
-        var_std = np.maximum(amplitude - (v * v).sum(axis=0), 0.0)
-        mean = mean_std * self.obs.scale + self.obs.mean
-        var = var_std * self.obs.scale**2
-        return mean, var
+        mean, var = self.stack.predict(X)
+        return mean[0], var[0]
 
 
 def fit(obs: ObservationSet, hypers: GpHyperparams) -> GpState:
@@ -211,7 +275,10 @@ class _LmlCache:
 
     Precomputes per-dimension squared coordinate differences so repeated
     evaluations under different hyperparameters only contract against the
-    inverse squared lengthscales.
+    inverse squared lengthscales.  The slice sampler moves one coordinate at
+    a time, so the Matern shape of the last lengthscales and the kernel of
+    the last amplitude are kept: a move along the amplitude or the noise
+    axis skips the contraction and the exponential.
     """
 
     def __init__(self, obs: ObservationSet):
@@ -219,11 +286,25 @@ class _LmlCache:
         diffs = X[:, None, :] - X[None, :, :]
         self.sq = diffs * diffs  # (t, t, d)
         self.y = obs.targets
+        # the Matern shape of the last lengthscales, the kernel of the last amplitude
+        self._shape_key: bytes | None = None
+        self._shape = (np.empty(0), np.empty(0))
+        self._amplitude: float | None = None
+        self._K = np.empty(0)
 
     def __call__(self, amplitude: float, lengthscales: np.ndarray, noise: float) -> float:
         y = self.y
-        K = _kernel_from_sqdists(self.sq @ (1.0 / lengthscales**2), amplitude)
-        L, _ = _factorize(K, amplitude, noise)
+        key = lengthscales.tobytes()
+        if key != self._shape_key:
+            self._shape = _matern_shape(self.sq @ (1.0 / lengthscales**2))
+            self._shape_key = key
+            self._amplitude = None
+        if amplitude != self._amplitude:
+            poly, e = self._shape
+            self._K = amplitude * poly * e
+            self._amplitude = amplitude
+        # _factorize shifts the diagonal in place, so it gets a copy
+        L, _ = _factorize(self._K.copy(), amplitude, noise)
         alpha = _cho_solve(L, y)
         return float(
             -0.5 * (y @ alpha) - np.log(L.diagonal()).sum() - 0.5 * y.shape[0] * LOG_2PI

@@ -22,7 +22,10 @@ and ``predict_one`` are the kernel, likelihood and one-point posterior the
 surrogate tests check against dense formulas.  ``exact_two_sided`` is the
 sign-vector enumeration behind the exact Wilcoxon p-value that
 ``ensopt.stats`` replaced by counting; the tests require the same p bit for
-bit.
+bit.  ``score`` and ``next_point`` are the acquisition search that scored
+every refinement move one GP state at a time, before
+``ensopt.acquisition`` stacked the states; the tests require the same
+scores and the same point bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Any, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from ensopt.acquisition import INV_SQRT_2PI, VARIANCE_FLOOR
+from ensopt.acquisition import INV_SQRT_2PI, VARIANCE_FLOOR, AcquisitionContext, _ei_batch
 from ensopt.data import SplitPlan
 from ensopt.ensemble import (
     Ensemble,
@@ -446,3 +449,41 @@ def exact_two_sided(ranks: np.ndarray, t_observed: float) -> float:
         w_plus = bits.astype(float) @ ranks
         count += int(np.sum(w_plus <= t_observed)) + int(np.sum(w_plus >= total - t_observed))
     return min(1.0, count / 2.0**n)
+
+
+def score(ctx: AcquisitionContext, points: np.ndarray) -> np.ndarray:
+    """Mean EI across all GP states for each row of ``points``, one state at a time."""
+    total = np.zeros(points.shape[0])
+    for state in ctx.states:
+        means, variances = state.predict_batch(points)
+        total += _ei_batch(means, variances, ctx.best)
+    return total / len(ctx.states)
+
+
+def next_point(
+    ctx: AcquisitionContext,
+    space: SearchSpace,
+    rng: np.random.Generator,
+    candidate_points: np.ndarray | None = None,
+) -> np.ndarray:
+    """Maximize mean EI with ``score`` for the candidates and for every refinement move."""
+    if len(ctx.states) == 0:
+        raise ValueError("at least one GP state is required")
+    d = space.dimension
+    if candidate_points is None:
+        points = rng.random((ctx.candidates, d))
+    else:
+        points = np.asarray(candidate_points, dtype=float)
+    scores = score(ctx, points)
+    idx = int(np.argmax(scores))
+    best_point = points[idx].copy()
+    best_score = scores[idx]
+    for _ in range(ctx.refinements):
+        for axis in range(d):
+            prop = best_point.copy()
+            prop[axis] = min(max(prop[axis] + rng.normal(0.0, 0.02), 0.0), 1.0)
+            value = score(ctx, prop[None, :])[0]
+            if value > best_score:
+                best_point = prop
+                best_score = value
+    return best_point

@@ -8,11 +8,13 @@ from ensopt.acquisition import (
     INV_SQRT_2PI,
     AcquisitionContext,
     _ei_batch,
+    _score_stacked,
     next_point,
 )
 from ensopt.hyperspace import ParamSpec, SearchSpace
-from ensopt.surrogate import GpHyperparams, ObservationSet, fit
+from ensopt.surrogate import GpHyperparams, ObservationSet, SampleStack, fit
 
+import oracles
 from oracles import expected_improvement, predict_one
 
 
@@ -163,3 +165,95 @@ class TestNextPoint:
         ctx = AcquisitionContext([], best=0.0)
         with pytest.raises(ValueError):
             next_point(ctx, line_space(), np.random.default_rng(0))
+
+
+def cube(d: int) -> SearchSpace:
+    return SearchSpace(tuple(ParamSpec(f"x{i}", "continuous", 0.0, 1.0) for i in range(d)))
+
+
+def random_states(rng, obs, count, amplitude=None, noise=None):
+    d = obs.dimension
+    return [
+        fit(
+            obs,
+            GpHyperparams(
+                float(rng.uniform(0.3, 3.0)) if amplitude is None else amplitude * (i + 1),
+                rng.uniform(0.05, 2.0, d),
+                float(rng.uniform(1e-6, 0.05)) if noise is None else noise,
+            ),
+        )
+        for i in range(count)
+    ]
+
+
+def assert_stacked_matches_reference(ctx, points_list, space, seed):
+    stack = SampleStack.of(ctx.states)
+    for points in points_list:
+        got = _score_stacked(stack, ctx.best, points)
+        assert got.tobytes() == oracles.score(ctx, points).tobytes()
+    got = next_point(ctx, space, np.random.default_rng(seed))
+    want = oracles.next_point(ctx, space, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+class TestStackedScore:
+    """All GP states scored in one stacked pass match the per-state references bit for bit."""
+
+    @pytest.mark.parametrize("t", [1, 5, 19, 60])
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    @pytest.mark.parametrize("count", [1, 3, 10])
+    def test_matches_per_state_reference(self, t, d, count):
+        rng = np.random.default_rng(1000 * t + 10 * d + count)
+        obs = ObservationSet(rng.random((t, d)), rng.random(t))
+        states = random_states(rng, obs, count)
+        best = float(obs.raw_targets.min())
+        ctx = AcquisitionContext(states, best, candidates=64, refinements=5)
+        points = [rng.random((m, d)) for m in (1, 7, 300)]
+        assert_stacked_matches_reference(ctx, points, cube(d), seed=t + d + count)
+
+    def test_zero_variance_takes_masked_branch(self):
+        # a duplicated training row and no noise: with an amplitude this
+        # small and targets this close together, the predictive variance at
+        # that row underflows to exactly zero while the means stay finite
+        rng = np.random.default_rng(3)
+        X = rng.random((6, 2))
+        X[1] = X[0]
+        obs = ObservationSet(X, 1e-11 * rng.random(6))
+        states = random_states(rng, obs, 3, amplitude=1e-295, noise=0.0)
+        queries = np.vstack([X[:1], rng.random((4, 2))])
+        means, variances = SampleStack.of(states).predict(queries)
+        assert np.isfinite(means).all()
+        assert (variances[:, 0] == 0.0).all() and (variances[:, 1:] > 0.0).all()
+        best = float(obs.raw_targets.max())
+        assert (_ei_batch(means, variances, best)[:, 0] > 0.0).all()
+        ctx = AcquisitionContext(states, best, candidates=64, refinements=5)
+        assert_stacked_matches_reference(ctx, [X[:1], queries], cube(2), seed=6)
+
+    def test_negative_variance_raises_on_both_paths(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        obs = ObservationSet(rng.random((5, 2)), rng.random(5))
+        states = random_states(rng, obs, 3)
+        best = float(obs.raw_targets.min())
+        ctx = AcquisitionContext(states, best, candidates=16, refinements=2)
+        predict = SampleStack.predict
+
+        def shifted(self, X):
+            mean, var = predict(self, X)
+            return mean, var - 1.0
+
+        monkeypatch.setattr(SampleStack, "predict", shifted)
+        point = rng.random((1, 2))
+        with pytest.raises(ValueError, match="negative predictive variance"):
+            oracles.score(ctx, point)
+        with pytest.raises(ValueError, match="negative predictive variance"):
+            _score_stacked(SampleStack.of(states), ctx.best, point)
+        for pick in (oracles.next_point, next_point):
+            with pytest.raises(ValueError, match="negative predictive variance"):
+                pick(ctx, cube(2), np.random.default_rng(0))
+
+    def test_states_on_different_observations_rejected(self):
+        rng = np.random.default_rng(9)
+        a = random_states(rng, ObservationSet(rng.random((4, 1)), rng.random(4)), 1)
+        b = random_states(rng, ObservationSet(rng.random((4, 1)), rng.random(4)), 1)
+        with pytest.raises(ValueError, match="share one observation set"):
+            next_point(AcquisitionContext(a + b, 0.0), line_space(), np.random.default_rng(0))

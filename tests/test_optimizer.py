@@ -474,6 +474,7 @@ class TestHistoryExtend:
             np.testing.assert_array_equal(a.test_row, b.test_row)
             # the count-based loss carries the bits of the per-row mean
             assert a.val_loss == b.val_loss == float(np.mean(b.val_row != labels_val))
+            assert type(b.val_loss) is float and type(b.degenerate) is bool
 
     def test_extend_rejects_row_shape_mismatch(self):
         history = History(np.array([0, 1, 1]), np.array([0]), 2)

@@ -15,6 +15,7 @@ from ensopt.surrogate import (
     ObservationSet,
     _factorize,
     _kernel_from_sqdists,
+    _LmlCache,
     _log_posterior,
     _theta_to_hypers,
     fit,
@@ -401,6 +402,28 @@ class TestFastPaths:
                 assert target(theta) == lml + reference_log_prior(theta, priors, d)
                 draws += 1
         assert draws >= 100
+
+    def test_lml_cache_reuse_equals_reference(self):
+        """Kept Matern shapes and kernels give what a fresh evaluation gives."""
+        rng = np.random.default_rng(53)
+        for X in fast_path_sets(rng):
+            obs = ObservationSet(X, rng.normal(size=X.shape[0]))
+            d = obs.dimension
+            ls_a = rng.uniform(0.1, 1.0, d)
+            ls_b = rng.uniform(0.1, 1.0, d)
+            calls = [
+                (1.3, ls_a, 1e-3),
+                (0.6, ls_a, 1e-3),  # a new amplitude reuses the shape
+                (0.6, ls_a, 2e-2),  # a new noise reuses the kernel
+                (0.6, ls_a, 1e-7),
+                (0.6, ls_b, 1e-7),  # new lengthscales, same amplitude
+                (0.6, ls_a.copy(), 1e-7),  # and back
+                (1.3, ls_a, 1e-3),
+            ]
+            lml = _LmlCache(obs)
+            for amplitude, ls, noise in calls:
+                want = reference_lml(obs.inputs, obs.targets, amplitude, ls, noise)
+                assert lml(amplitude, ls, noise) == want
 
     def test_escalated_jitter_matches_reference(self):
         rng = np.random.default_rng(37)
