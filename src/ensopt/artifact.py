@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Any
 
@@ -121,7 +121,7 @@ def save_artifact(directory: str, artifact: RunArtifact, history: History) -> No
         "space_digest": space_digest(artifact.space),
         "n_labels": artifact.n_labels,
         "ensemble_size": artifact.ensemble_size,
-        "iterations": [it.to_dict() for it in artifact.iterations],
+        "iterations": [asdict(it) for it in artifact.iterations],
         "final": artifact.final,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }

@@ -17,7 +17,7 @@ from typing import Any, Protocol, Sequence
 
 import numpy as np
 
-from .acquisition import AcquisitionContext, next_point
+from .acquisition import next_point
 from .data import SplitPlan, cross_val_predictions
 from .ensemble import (
     LOSSES,
@@ -30,12 +30,7 @@ from .ensemble import (
 )
 from .hyperspace import Config, SearchSpace, decode, sample
 from .learners import Dataset
-from .surrogate import (
-    HyperPriors,
-    ObservationSet,
-    fit,
-    slice_sample_hypers,
-)
+from .surrogate import ObservationSet, fit, slice_sample_hypers
 
 
 @dataclass
@@ -203,18 +198,6 @@ class IterationLog:
     gp_samples: list[list[float]] | None = None
     degenerate: bool = False
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "iteration": self.iteration,
-            "point": list(self.point),
-            "observation_digest": self.observation_digest,
-            "incumbent": self.incumbent,
-            "slot": self.slot,
-            "ensemble": list(self.ensemble) if self.ensemble is not None else None,
-            "gp_samples": self.gp_samples,
-            "degenerate": self.degenerate,
-        }
-
 
 @dataclass
 class RunArtifact:
@@ -270,19 +253,17 @@ def _propose(
     """Fit the surrogate on (points, losses) and maximize acquisition."""
     obs = ObservationSet(points, losses)
     hyper_samples = slice_sample_hypers(
-        obs,
-        HyperPriors(),
-        settings.gp_samples,
-        rng,
-        burn_in=settings.burn_in,
-        thin=settings.thin,
+        obs, settings.gp_samples, rng, burn_in=settings.burn_in, thin=settings.thin
     )
-    states = [fit(obs, h) for h in hyper_samples]
     incumbent = float(np.min(losses))
-    ctx = AcquisitionContext(
-        states, incumbent, candidates=settings.candidates, refinements=settings.refinements
+    point = next_point(
+        fit(obs, hyper_samples),
+        incumbent,
+        space,
+        rng,
+        settings.candidates,
+        settings.refinements,
     )
-    point = next_point(ctx, space, rng)
     return point, [h.as_list() for h in hyper_samples], incumbent
 
 

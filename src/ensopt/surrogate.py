@@ -3,7 +3,8 @@
 The surrogate models observed losses as a GP with a Matern-5/2 kernel using
 one lengthscale per input dimension.  Targets are standardized internally;
 predictions are reported in the original units.  Kernel hyperparameters are
-integrated out approximately by slice sampling their log posterior.
+integrated out approximately by slice sampling their log posterior; one
+``GpState`` holds the GP under every sample.
 """
 
 from __future__ import annotations
@@ -24,6 +25,20 @@ HALF_LOG_2PI = 0.5 * LOG_2PI
 # Escalates by x10 on factorization failure up to the maximum.
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
+
+# Log-normal hyperparameter priors, truncated to [low, high]: one row of
+# (median, log_sd, low, high) per coordinate group.
+PRIORS = {
+    "amplitude": (1.0, 1.0, 1e-6, 1e3),
+    "lengthscale": (0.25, 1.0, 1e-6, 1e3),
+    "noise": (0.01, 1.0, 1e-6, 1e3),
+}
+
+# Elements of the (samples, t, m) kernel block that one prediction step
+# computes.  Stacking samples saves numpy call overhead on small batches but
+# costs cache on large ones: a 1000-row candidate batch is predicted one
+# sample at a time, a one-row refinement move all samples in one step.
+PREDICT_BLOCK = 1 << 13
 
 # Slice sampling: initial bracket width in log space, and the cap on the
 # step-out and shrink iterations of one univariate update.
@@ -55,23 +70,6 @@ class GpHyperparams:
 
     def as_list(self) -> list[float]:
         return [float(self.amplitude), *map(float, self.lengthscales), float(self.noise)]
-
-
-@dataclass(frozen=True)
-class LogNormalPrior:
-    """Log-normal prior with support truncated to [low, high]."""
-
-    median: float
-    log_sd: float
-    low: float = 1e-6
-    high: float = 1e3
-
-
-@dataclass(frozen=True)
-class HyperPriors:
-    amplitude: LogNormalPrior = LogNormalPrior(median=1.0, log_sd=1.0)
-    lengthscale: LogNormalPrior = LogNormalPrior(median=0.25, log_sd=1.0)
-    noise: LogNormalPrior = LogNormalPrior(median=0.01, log_sd=1.0)
 
 
 class ObservationSet:
@@ -167,107 +165,83 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class SampleStack:
-    """GP states over one observation set, stacked along a leading sample axis.
+class GpState:
+    """A GP conditioned on one observation set under S hyperparameter samples.
 
-    Prediction runs every sample's kernel arithmetic as one batched numpy
-    call per step; only the triangular solve is made once per sample.  Each
-    sample's slice goes through the BLAS, LAPACK and reduction calls its own
-    ``GpState.predict_batch`` makes, so the results agree bit for bit.
+    The arrays carry a leading sample axis.  Prediction runs the kernel
+    arithmetic of a block of samples as one batched numpy call per step and
+    makes the triangular solve once per sample.  Each sample's slice goes
+    through the BLAS, LAPACK and reduction calls a one-sample state makes, so
+    the results do not depend on the block size.
     """
 
-    obs: ObservationSet
-    scaled: np.ndarray  # (S, t, d): the inputs over each sample's lengthscales
-    sqnorms: np.ndarray  # (S, t, 1): squared row norms of ``scaled``
-    lengthscales: np.ndarray  # (S, d)
-    amplitudes: np.ndarray  # (S, 1, 1)
-    alpha: np.ndarray  # (S, t, 1): the standardized targets solved against K
-    tris: tuple[tuple[np.ndarray, int, int], ...]  # per sample: dtrtrs operand, lower, trans
-
-    @classmethod
-    def of(cls, states: Sequence[GpState]) -> SampleStack:
-        """Stack ``states``, which must be conditioned on one observation set."""
-        if len(states) == 0:
-            raise ValueError("at least one GP state is required")
-        obs = states[0].obs
-        if any(state.obs is not obs for state in states):
-            raise ValueError("stacked GP states must share one observation set")
-        parts = [state.stack for state in states]
-        return cls(
-            obs,
-            *(
-                np.concatenate([getattr(p, name) for p in parts])
-                for name in ("scaled", "sqnorms", "lengthscales", "amplitudes", "alpha")
-            ),
-            tuple(tri for p in parts for tri in p.tris),
-        )
-
-    def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and variances, ``(S, m)`` each, at the rows of ``X``, in raw units."""
-        r2 = _sqdists(self.scaled, self.sqnorms, X / self.lengthscales[:, None, :])
-        k_star = _kernel_from_sqdists(r2, self.amplitudes)
-        mean_std = (k_star.swapaxes(1, 2) @ self.alpha)[:, :, 0]
-        squares = np.empty((len(self.tris), X.shape[0], self.obs.size))
-        for s, (tri, lower, trans) in enumerate(self.tris):
-            v, info = dtrtrs(tri, k_star[s], lower, trans)
-            if info != 0:
-                raise NumericalError(f"triangular solve failed (info {info})")
-            # v is Fortran-ordered, so each row of squares[s] is one of its
-            # columns in the same contiguous order that a column sum runs over
-            np.multiply(v.T, v.T, out=squares[s])
-        var_std = np.maximum(self.amplitudes[:, :, 0] - squares.sum(axis=2), 0.0)
-        mean = mean_std * self.obs.scale + self.obs.mean
-        var = var_std * self.obs.scale**2
-        return mean, var
-
-
-class GpState:
-    """A GP conditioned on an observation set under fixed hyperparameters."""
-
-    def __init__(self, obs: ObservationSet, hypers: GpHyperparams):
-        if hypers.lengthscales.shape != (obs.dimension,):
+    def __init__(self, obs: ObservationSet, samples: Sequence[GpHyperparams]):
+        if len(samples) == 0:
+            raise ValueError("at least one hyperparameter sample is required")
+        if any(h.lengthscales.shape != (obs.dimension,) for h in samples):
             raise ValueError("one lengthscale per input dimension is required")
         self.obs = obs
-        self.hypers = hypers
-        # query-independent halves of the kernel and of the triangular solve
-        scaled = obs.inputs / hypers.lengthscales
-        sqnorms = (scaled * scaled).sum(axis=1)[:, None]
-        # a distinct second operand keeps the product a general matrix
-        # multiply: with the same array twice numpy may round it as a
-        # symmetric rank-k update
-        r2 = _sqdists(scaled, sqnorms, scaled.copy())
-        K = _kernel_from_sqdists(r2, hypers.amplitude)
-        self.chol, self.jitter = _factorize(K, hypers.amplitude, hypers.noise)
-        alpha = _cho_solve(self.chol, obs.targets)
+        parts = []
+        for h in samples:
+            # query-independent halves of the kernel and of the triangular solve
+            scaled = obs.inputs / h.lengthscales
+            sqnorms = (scaled * scaled).sum(axis=1)[:, None]
+            # a distinct second operand keeps the product a general matrix
+            # multiply: with the same array twice numpy may round it as a
+            # symmetric rank-k update
+            r2 = _sqdists(scaled, sqnorms, scaled.copy())
+            chol, jitter = _factorize(_kernel_from_sqdists(r2, h.amplitude), h.amplitude, h.noise)
+            alpha = _cho_solve(chol, obs.targets)
+            parts.append((scaled, sqnorms, chol, jitter, alpha))
+        scaled, sqnorms, chols, jitters, alphas = zip(*parts)
+        self.scaled = np.stack(scaled)  # (S, t, d)
+        self.sqnorms = np.stack(sqnorms)  # (S, t, 1)
+        self.chols = np.stack(chols)  # (S, t, t)
+        self.jitters = list(jitters)
+        self.alpha = np.stack(alphas)[:, :, None]  # (S, t, 1)
+        self.lengthscales = np.stack([h.lengthscales for h in samples])  # (S, d)
+        self.amplitudes = np.array([h.amplitude for h in samples])[:, None, None]  # (S, 1, 1)
         # the LAPACK call scipy.linalg.solve_triangular(chol, b, lower=True)
         # makes: the transposed factor when the factor is not Fortran-ordered
-        if self.chol.flags.f_contiguous:
-            tri = (self.chol, 1, 0)
-        else:
-            tri = (self.chol.T, 0, 1)
-        self.stack = SampleStack(
-            obs,
-            scaled[None],
-            sqnorms[None],
-            hypers.lengthscales[None],
-            np.full((1, 1, 1), hypers.amplitude),
-            alpha[None, :, None],
-            (tri,),
-        )
+        self._tris = [
+            (chol, 1, 0) if chol.flags.f_contiguous else (chol.T, 0, 1) for chol in self.chols
+        ]
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and variances at the rows of ``X``, in raw target units."""
+        """Posterior means and variances, ``(S, m)`` each, at the rows of ``X``, in raw units.
+
+        Samples are taken ``max(1, PREDICT_BLOCK // (t * m))`` at a time, so
+        a block's ``(samples, t, m)`` temporaries stay near ``PREDICT_BLOCK``
+        elements.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.obs.dimension:
             raise ValueError("query points must match the observation dimension")
-        mean, var = self.stack.predict(X)
-        return mean[0], var[0]
+        S, t, m = len(self._tris), self.obs.size, X.shape[0]
+        block = max(1, PREDICT_BLOCK // (t * m))
+        mean_std = np.empty((S, m))
+        var_std = np.empty((S, m))
+        for lo in range(0, S, block):
+            hi = min(lo + block, S)
+            scaled_X = X / self.lengthscales[lo:hi, None, :]
+            r2 = _sqdists(self.scaled[lo:hi], self.sqnorms[lo:hi], scaled_X)
+            k_star = _kernel_from_sqdists(r2, self.amplitudes[lo:hi])
+            mean_std[lo:hi] = (k_star.swapaxes(1, 2) @ self.alpha[lo:hi])[:, :, 0]
+            squares = np.empty((hi - lo, m, t))
+            for s, (tri, lower, trans) in enumerate(self._tris[lo:hi]):
+                v, info = dtrtrs(tri, k_star[s], lower, trans)
+                if info != 0:
+                    raise NumericalError(f"triangular solve failed (info {info})")
+                # v is Fortran-ordered, so each row of squares[s] is one of its
+                # columns in the same contiguous order that a column sum runs over
+                np.multiply(v.T, v.T, out=squares[s])
+            var_std[lo:hi] = np.maximum(self.amplitudes[lo:hi, :, 0] - squares.sum(axis=2), 0.0)
+        return mean_std * self.obs.scale + self.obs.mean, var_std * self.obs.scale**2
 
 
-def fit(obs: ObservationSet, hypers: GpHyperparams) -> GpState:
-    """Condition a GP on ``obs`` under ``hypers``."""
-    return GpState(obs, hypers)
+def fit(obs: ObservationSet, samples: Sequence[GpHyperparams]) -> GpState:
+    """Condition a GP on ``obs`` under every hyperparameter sample in ``samples``."""
+    return GpState(obs, samples)
 
 
 class _LmlCache:
@@ -311,7 +285,12 @@ class _LmlCache:
         )
 
 
-def _log_posterior(obs: ObservationSet, priors: HyperPriors):
+def coordinate_priors(d: int) -> list[tuple[float, float, float, float]]:
+    """The ``PRIORS`` row of each coordinate of theta = log(amplitude, lengthscales..., noise)."""
+    return [PRIORS["amplitude"]] + [PRIORS["lengthscale"]] * d + [PRIORS["noise"]]
+
+
+def _log_posterior(obs: ObservationSet):
     """Log posterior density of theta = log(amplitude, lengthscales..., noise).
 
     The prior terms are summed left to right in theta's order, then the
@@ -320,10 +299,9 @@ def _log_posterior(obs: ObservationSet, priors: HyperPriors):
     """
     d = obs.dimension
     lml = _LmlCache(obs)
-    coord_priors = [priors.amplitude] + [priors.lengthscale] * d + [priors.noise]
     terms = [
-        (math.log(p.low), math.log(p.high), math.log(p.median), p.log_sd, math.log(p.log_sd))
-        for p in coord_priors
+        (math.log(low), math.log(high), math.log(median), sd, math.log(sd))
+        for median, sd, low, high in coordinate_priors(d)
     ]
 
     def log_target(theta: np.ndarray) -> float:
@@ -386,7 +364,6 @@ def _slice_axis(
 
 def slice_sample_hypers(
     obs: ObservationSet,
-    priors: HyperPriors,
     count: int,
     rng: np.random.Generator,
     burn_in: int = 30,
@@ -394,18 +371,19 @@ def slice_sample_hypers(
 ) -> list[GpHyperparams]:
     """Draw kernel hyperparameters from their posterior by slice sampling.
 
-    The walk operates on the logs of (amplitude, lengthscales..., noise),
-    restarts from the prior medians on every call, runs ``burn_in`` full
+    The posterior is the marginal likelihood of ``obs`` under the truncated
+    log-normal ``PRIORS``.  The walk operates on the logs of (amplitude,
+    lengthscales..., noise), restarts from the prior medians on every call, runs ``burn_in`` full
     coordinate sweeps, then records one sample every ``thin`` sweeps until
     ``count`` samples are collected.  Hyperparameters whose fit fails are
-    treated as zero-probability and therefore rejected by the walk.
+    treated as zero-probability and therefore rejected by the walk.  The
+    samples integrate the hyperparameters out: ``fit(obs, samples)``
+    conditions the GP under all of them at once.
 
     Parameters
     ----------
     obs : ObservationSet
         Data the posterior is conditioned on.
-    priors : HyperPriors
-        Truncated log-normal priors per hyperparameter group.
     count : int
         Number of samples to return.
     rng : numpy.random.Generator
@@ -418,14 +396,8 @@ def slice_sample_hypers(
     if thin < 1:
         raise ValueError("thin must be at least 1")
     d = obs.dimension
-    log_target = _log_posterior(obs, priors)
-    theta = np.log(
-        np.array(
-            [priors.amplitude.median]
-            + [priors.lengthscale.median] * d
-            + [priors.noise.median]
-        )
-    )
+    log_target = _log_posterior(obs)
+    theta = np.log(np.array([row[0] for row in coordinate_priors(d)]))
     f = log_target(theta)
 
     def sweep(theta: np.ndarray, f: float) -> tuple[np.ndarray, float]:

@@ -22,10 +22,10 @@ and ``predict_one`` are the kernel, likelihood and one-point posterior the
 surrogate tests check against dense formulas.  ``exact_two_sided`` is the
 sign-vector enumeration behind the exact Wilcoxon p-value that
 ``ensopt.stats`` replaced by counting; the tests require the same p bit for
-bit.  ``score`` and ``next_point`` are the acquisition search that scored
-every refinement move one GP state at a time, before
-``ensopt.acquisition`` stacked the states; the tests require the same
-scores and the same point bit for bit.
+bit.  ``score`` and ``next_point`` are the acquisition search over S
+one-sample GP states, scored one state at a time; the tests require
+``ensopt.acquisition`` on one S-sample state to give the same scores and
+the same point bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Any, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from ensopt.acquisition import INV_SQRT_2PI, VARIANCE_FLOOR, AcquisitionContext, _ei_batch
+from ensopt.acquisition import INV_SQRT_2PI, _ei_batch
 from ensopt.data import SplitPlan
 from ensopt.ensemble import (
     Ensemble,
@@ -68,7 +68,6 @@ from ensopt.surrogate import (
     SQRT5,
     GpHyperparams,
     GpState,
-    LogNormalPrior,
     ObservationSet,
     _kernel_from_sqdists,
     _LmlCache,
@@ -111,12 +110,17 @@ def matern52(x1: np.ndarray, x2: np.ndarray, hypers: GpHyperparams) -> float:
     return hypers.amplitude * (1.0 + SQRT5 * r + 5.0 * r2 / 3.0) * math.exp(-SQRT5 * r)
 
 
-def log_pdf_at_log(prior: LogNormalPrior, log_x: float) -> float:
-    """Density of log(x) under ``prior``, -inf outside its support."""
-    if not math.log(prior.low) <= log_x <= math.log(prior.high):
+def log_pdf_at_log(prior: tuple[float, float, float, float], log_x: float) -> float:
+    """Density of log(x) under a ``(median, log_sd, low, high)`` prior row, -inf outside its support."""
+    median, log_sd, low, high = prior
+    if not math.log(low) <= log_x <= math.log(high):
         return -math.inf
-    z = (log_x - math.log(prior.median)) / prior.log_sd
-    return -0.5 * z * z - math.log(prior.log_sd) - HALF_LOG_2PI
+    z = (log_x - math.log(median)) / log_sd
+    return -0.5 * z * z - math.log(log_sd) - HALF_LOG_2PI
+
+
+# predictive variances below this are an error, not rounding
+VARIANCE_FLOOR = -1e-10
 
 
 def expected_improvement(mean: float, variance: float, best: float) -> float:
@@ -428,9 +432,9 @@ def log_marginal_likelihood(obs: ObservationSet, hypers: GpHyperparams) -> float
 
 
 def predict_one(state: GpState, x: np.ndarray) -> tuple[float, float]:
-    """Posterior mean and variance at one point, in raw target units."""
+    """Posterior mean and variance of a one-sample state at one point, in raw target units."""
     mean, var = state.predict_batch(np.asarray(x, dtype=float)[None, :])
-    return float(mean[0]), float(var[0])
+    return float(mean[0, 0]), float(var[0, 0])
 
 
 def exact_two_sided(ranks: np.ndarray, t_observed: float) -> float:
@@ -451,38 +455,35 @@ def exact_two_sided(ranks: np.ndarray, t_observed: float) -> float:
     return min(1.0, count / 2.0**n)
 
 
-def score(ctx: AcquisitionContext, points: np.ndarray) -> np.ndarray:
-    """Mean EI across all GP states for each row of ``points``, one state at a time."""
+def score(states: Sequence[GpState], best: float, points: np.ndarray) -> np.ndarray:
+    """Mean EI across one-sample GP states for each row of ``points``, one state at a time."""
     total = np.zeros(points.shape[0])
-    for state in ctx.states:
+    for state in states:
         means, variances = state.predict_batch(points)
-        total += _ei_batch(means, variances, ctx.best)
-    return total / len(ctx.states)
+        total += _ei_batch(means, variances, best)[0]
+    return total / len(states)
 
 
 def next_point(
-    ctx: AcquisitionContext,
+    states: Sequence[GpState],
+    best: float,
     space: SearchSpace,
     rng: np.random.Generator,
-    candidate_points: np.ndarray | None = None,
+    candidates: int,
+    refinements: int,
 ) -> np.ndarray:
     """Maximize mean EI with ``score`` for the candidates and for every refinement move."""
-    if len(ctx.states) == 0:
-        raise ValueError("at least one GP state is required")
     d = space.dimension
-    if candidate_points is None:
-        points = rng.random((ctx.candidates, d))
-    else:
-        points = np.asarray(candidate_points, dtype=float)
-    scores = score(ctx, points)
+    points = rng.random((candidates, d))
+    scores = score(states, best, points)
     idx = int(np.argmax(scores))
     best_point = points[idx].copy()
     best_score = scores[idx]
-    for _ in range(ctx.refinements):
+    for _ in range(refinements):
         for axis in range(d):
             prop = best_point.copy()
             prop[axis] = min(max(prop[axis] + rng.normal(0.0, 0.02), 0.0), 1.0)
-            value = score(ctx, prop[None, :])[0]
+            value = score(states, best, prop[None, :])[0]
             if value > best_score:
                 best_point = prop
                 best_score = value

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ensopt import cli
-from ensopt.acquisition import AcquisitionContext, next_point
+from ensopt.acquisition import next_point
 from ensopt.ensemble import (
     Ensemble,
     PredictionMatrix,
@@ -121,7 +121,7 @@ class TestCriterion2GpOracle:
                 noise=float(rng.uniform(1e-4, 0.2)),
             )
             obs = ObservationSet(X, y)
-            state = fit(obs, hypers)
+            state = fit(obs, [hypers])
             oracle_predict, oracle_lml = dense_gp_oracle(X, y, hypers)
             for _ in range(5):
                 x = rng.random(d)
@@ -135,7 +135,7 @@ class TestCriterion2GpOracle:
         rng = np.random.default_rng(203)
         X = rng.random((8, 2))
         y = rng.normal(size=8)
-        state = fit(ObservationSet(X, y), GpHyperparams(1.0, np.full(2, 0.5), 1e-10))
+        state = fit(ObservationSet(X, y), [GpHyperparams(1.0, np.full(2, 0.5), 1e-10)])
         for i in range(8):
             mean, _ = predict_one(state, X[i])
             assert abs(mean - y[i]) <= 1e-4
@@ -155,20 +155,18 @@ class TestCriterion3ExpectedImprovement:
             for sd in sigmas:
                 assert expected_improvement(float(mu), float(sd) ** 2, best=0.0) >= 0.0
 
-        # 1-d toy: two observations, candidates drawn from a fixed grid
+        # 1-d toy: two observations; with no refinement the pick is the EI
+        # argmax over the 1001 candidates that next_point draws from its seed
         obs = ObservationSet(np.array([[0.1], [0.9]]), np.array([0.9, 0.1]))
-        state = fit(obs, GpHyperparams(1.0, np.array([0.3]), 1e-4))
-        grid = np.linspace(0.0, 1.0, 1001)[:, None]
+        state = fit(obs, [GpHyperparams(1.0, np.array([0.3]), 1e-4)])
+        candidates = np.random.default_rng(0).random((1001, 1))
         scores = np.array(
-            [expected_improvement(*predict_one(state, g), best=0.1) for g in grid]
+            [expected_improvement(*predict_one(state, c), best=0.1) for c in candidates]
         )
-        oracle = grid[int(np.argmax(scores))]
+        oracle = candidates[int(np.argmax(scores))]
         space = SearchSpace((ParamSpec("u", "continuous", 0.0, 1.0),))
-        ctx = AcquisitionContext([state], best=0.1, candidates=1001, refinements=0)
-        picked = next_point(
-            ctx, space, np.random.default_rng(0), candidate_points=grid
-        )
-        np.testing.assert_allclose(picked, oracle)
+        picked = next_point(state, 0.1, space, np.random.default_rng(0), 1001, 0)
+        assert picked.tobytes() == oracle.tobytes()
         assert time.perf_counter() - start < 30.0
 
 

@@ -168,8 +168,8 @@ def assert_same_run(got, want):
         assert rg.test_row.tobytes() == rw.test_row.tobytes()
         assert rg.val_loss.hex() == rw.val_loss.hex()
         assert rg.degenerate == rw.degenerate
-    assert [log.to_dict() for log in got_art.iterations] == [
-        log.to_dict() for log in want_art.iterations
+    assert [dataclasses.asdict(log) for log in got_art.iterations] == [
+        dataclasses.asdict(log) for log in want_art.iterations
     ]
     for f in dataclasses.fields(want_art):
         assert getattr(got_art, f.name) == getattr(want_art, f.name), f.name

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
+from ensopt import surrogate
 from ensopt.surrogate import (
     JITTER_MAX,
     JITTER_START,
     LOG_2PI,
+    PRIORS,
     GpHyperparams,
-    HyperPriors,
-    LogNormalPrior,
     NumericalError,
     ObservationSet,
     _factorize,
@@ -18,6 +18,7 @@ from ensopt.surrogate import (
     _LmlCache,
     _log_posterior,
     _theta_to_hypers,
+    coordinate_priors,
     fit,
     slice_sample_hypers,
 )
@@ -156,22 +157,22 @@ class TestFitPredict:
     def test_single_point_factor(self):
         obs = ObservationSet(np.array([[0.5]]), [0.3])
         h = GpHyperparams(1.0, np.array([0.5]), 0.25)
-        state = fit(obs, h)
+        state = fit(obs, [h])
         expected = math.sqrt(1.0 + 0.25 + 1e-8)
-        assert state.chol[0, 0] == pytest.approx(expected, rel=1e-9)
+        assert state.chols[0][0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_factorization_reproduces_covariance(self):
         rng = np.random.default_rng(5)
         X, y, h = random_problem(rng)
-        state = fit(ObservationSet(X, y), h)
-        K = kernel_matrix(X, X, h) + (h.noise + state.jitter * h.amplitude) * np.eye(X.shape[0])
-        np.testing.assert_allclose(state.chol @ state.chol.T, K, atol=1e-8)
+        state = fit(ObservationSet(X, y), [h])
+        K = kernel_matrix(X, X, h) + (h.noise + state.jitters[0] * h.amplitude) * np.eye(X.shape[0])
+        np.testing.assert_allclose(state.chols[0] @ state.chols[0].T, K, atol=1e-8)
 
     def test_posterior_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             X, y, h = random_problem(rng)
-            state = fit(ObservationSet(X, y), h)
+            state = fit(ObservationSet(X, y), [h])
             x_star = rng.random(X.shape[1])
             mean, var = predict_one(state, x_star)
             o_mean, o_var = oracle_posterior(X, y, h, x_star)
@@ -183,7 +184,7 @@ class TestFitPredict:
         X = rng.random((6, 2))
         y = rng.normal(size=6)
         h = GpHyperparams(1.0, np.array([0.4, 0.4]), 1e-10)
-        state = fit(ObservationSet(X, y), h)
+        state = fit(ObservationSet(X, y), [h])
         for i in range(6):
             mean, var = predict_one(state, X[i])
             assert mean == pytest.approx(y[i], abs=1e-4)
@@ -193,7 +194,7 @@ class TestFitPredict:
         y = [0.2, 0.5, 0.8]
         obs = ObservationSet(np.array([[0.1], [0.5], [0.9]]), y)
         h = GpHyperparams(1.5, np.array([0.05]), 0.01)
-        state = fit(obs, h)
+        state = fit(obs, [h])
         mean, var = predict_one(state, np.array([50.0]))
         assert mean == pytest.approx(np.mean(y), abs=1e-6)
         assert var == pytest.approx(1.5 * np.std(y) ** 2, rel=1e-6)
@@ -201,7 +202,7 @@ class TestFitPredict:
     def test_variance_non_negative(self):
         rng = np.random.default_rng(8)
         X, y, h = random_problem(rng, t_max=10)
-        state = fit(ObservationSet(X, y), h)
+        state = fit(ObservationSet(X, y), [h])
         _, var = state.predict_batch(rng.random((200, X.shape[1])))
         assert np.all(var >= 0.0)
 
@@ -215,7 +216,7 @@ class TestFitPredict:
         for t in range(2, 9):
             # fixed raw-unit hypers: compare standardized-space variances
             obs = ObservationSet(X[:t], y[:t])
-            state = fit(obs, h)
+            state = fit(obs, [h])
             _, var = predict_one(state, x_star)
             var_std = var / obs.scale**2
             assert var_std <= prev + 1e-9
@@ -227,8 +228,8 @@ class TestFitPredict:
         y = rng.normal(size=7)
         h = GpHyperparams(1.2, np.array([0.5, 0.8]), 0.05)
         a, b = 3.5, -2.0
-        state1 = fit(ObservationSet(X, y), h)
-        state2 = fit(ObservationSet(X, a * y + b), h)
+        state1 = fit(ObservationSet(X, y), [h])
+        state2 = fit(ObservationSet(X, a * y + b), [h])
         x_star = rng.random(2)
         m1, v1 = predict_one(state1, x_star)
         m2, v2 = predict_one(state2, x_star)
@@ -239,11 +240,55 @@ class TestFitPredict:
         X = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.8]])
         y = [0.1, 0.3, 0.9]
         h = GpHyperparams(1.0, np.array([0.5, 0.5]), 0.01)
-        state = fit(ObservationSet(X, y), h)
+        state = fit(ObservationSet(X, y), [h])
         mean, var = predict_one(state, np.array([0.5, 0.5]))
         o_mean, o_var = oracle_posterior(X, np.array(y), h, np.array([0.5, 0.5]))
         assert mean == pytest.approx(o_mean, abs=1e-8)
         assert var == pytest.approx(o_var, abs=1e-8)
+
+
+class TestSampleAxis:
+    """One GP state over S hyperparameter samples."""
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            fit(ObservationSet(np.zeros((2, 1)), [0.1, 0.2]), [])
+
+    def test_lengthscales_must_match_dimension(self):
+        obs = ObservationSet(np.zeros((2, 2)), [0.1, 0.2])
+        good = GpHyperparams(1.0, np.array([0.5, 0.5]), 0.01)
+        bad = GpHyperparams(1.0, np.array([0.5]), 0.01)
+        with pytest.raises(ValueError, match="one lengthscale"):
+            fit(obs, [good, bad])
+
+    @pytest.mark.parametrize("t", [1, 5, 19, 60])
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    @pytest.mark.parametrize("count", [1, 3, 10])
+    def test_prediction_bytes_do_not_depend_on_block_size(self, monkeypatch, t, d, count):
+        rng = np.random.default_rng(100 * t + 10 * d + count)
+        obs = ObservationSet(rng.random((t, d)), rng.random(t))
+        samples = [
+            GpHyperparams(
+                float(rng.uniform(0.3, 3.0)), rng.uniform(0.05, 2.0, d), float(rng.uniform(1e-6, 0.05))
+            )
+            for _ in range(count)
+        ]
+        gp = fit(obs, samples)
+        singles = [fit(obs, [h]) for h in samples]
+        for m in (1, 7, 300, 1000):
+            X = rng.random((m, d))
+            got = []
+            for block in (1, surrogate.PREDICT_BLOCK, 1 << 40):
+                monkeypatch.setattr(surrogate, "PREDICT_BLOCK", block)
+                means, variances = gp.predict_batch(X)
+                assert means.shape == variances.shape == (count, m)
+                got.append((means.tobytes(), variances.tobytes()))
+            monkeypatch.undo()
+            assert got[0] == got[1] == got[2]
+            # each sample row is what a one-sample state predicts
+            rows = [single.predict_batch(X) for single in singles]
+            assert got[0][0] == np.concatenate([r[0] for r in rows]).tobytes()
+            assert got[0][1] == np.concatenate([r[1] for r in rows]).tobytes()
 
 
 class TestLogMarginalLikelihood:
@@ -276,9 +321,8 @@ class TestSliceSampling:
         X = rng.random((12, 2))
         y = rng.normal(size=12)
         obs = ObservationSet(X, y)
-        priors = HyperPriors()
-        a = slice_sample_hypers(obs, priors, 1, np.random.default_rng(42), burn_in=0, thin=1)
-        b = slice_sample_hypers(obs, priors, 1, np.random.default_rng(42), burn_in=0, thin=1)
+        a = slice_sample_hypers(obs, 1, np.random.default_rng(42), burn_in=0, thin=1)
+        b = slice_sample_hypers(obs, 1, np.random.default_rng(42), burn_in=0, thin=1)
         assert a[0].amplitude == b[0].amplitude
         np.testing.assert_array_equal(a[0].lengthscales, b[0].lengthscales)
         assert a[0].noise == b[0].noise
@@ -290,25 +334,20 @@ class TestSliceSampling:
         K = kernel_matrix(X, X, true) + true.noise * np.eye(50)
         y = np.linalg.cholesky(K) @ rng.standard_normal(50)
         obs = ObservationSet(X, y)
-        samples = slice_sample_hypers(
-            obs, HyperPriors(), 10, np.random.default_rng(1), burn_in=30, thin=2
-        )
+        samples = slice_sample_hypers(obs, 10, np.random.default_rng(1), burn_in=30, thin=2)
         med = float(np.median([s.lengthscales[0] for s in samples]))
         assert 0.1 <= med <= 0.4
 
     def test_priors_truncate_support(self):
+        # constant targets: the likelihood keeps growing as the noise
+        # shrinks, so the walk presses against the lower edge of its support
         rng = np.random.default_rng(5)
-        obs = ObservationSet(rng.random((6, 2)), rng.normal(size=6))
-        priors = HyperPriors(
-            amplitude=LogNormalPrior(1.0, 1.0, 1e-2, 1e2),
-            lengthscale=LogNormalPrior(0.25, 1.0, 1e-2, 1e1),
-            noise=LogNormalPrior(0.01, 1.0, 1e-4, 1e0),
-        )
-        samples = slice_sample_hypers(obs, priors, 8, np.random.default_rng(0), burn_in=5, thin=1)
-        for s in samples:
-            assert 1e-2 <= s.amplitude <= 1e2
-            assert np.all((s.lengthscales >= 1e-2) & (s.lengthscales <= 1e1))
-            assert 1e-4 <= s.noise <= 1e0
+        obs = ObservationSet(rng.random((40, 2)), np.zeros(40))
+        samples = slice_sample_hypers(obs, 8, np.random.default_rng(0), burn_in=5, thin=1)
+        for h in samples:
+            for value, (_, _, low, high) in zip(h.as_list(), coordinate_priors(2)):
+                assert low <= value <= high
+        assert min(h.noise for h in samples) < 2 * PRIORS["noise"][2]
 
     @pytest.mark.parametrize(
         "count, burn_in, thin",
@@ -319,19 +358,17 @@ class TestSliceSampling:
         rng = np.random.default_rng(4)
         obs = ObservationSet(rng.random((5, 2)), rng.normal(size=5))
         with pytest.raises(ValueError):
-            slice_sample_hypers(
-                obs, HyperPriors(), count, np.random.default_rng(0), burn_in=burn_in, thin=thin
-            )
+            slice_sample_hypers(obs, count, np.random.default_rng(0), burn_in=burn_in, thin=thin)
 
     def test_sampled_hypers_keep_covariance_factorizable(self):
         rng = np.random.default_rng(17)
         X = rng.random((10, 2))
         y = rng.normal(size=10)
         obs = ObservationSet(X, y)
-        samples = slice_sample_hypers(obs, HyperPriors(), 5, np.random.default_rng(2), burn_in=5, thin=1)
-        for s in samples:
-            state = fit(obs, s)  # raises NumericalError on failure
-            eigs = np.linalg.eigvalsh(state.chol @ state.chol.T)
+        samples = slice_sample_hypers(obs, 5, np.random.default_rng(2), burn_in=5, thin=1)
+        gp = fit(obs, samples)  # raises NumericalError on failure
+        for chol in gp.chols:
+            eigs = np.linalg.eigvalsh(chol @ chol.T)
             assert eigs.min() > -1e-10
 
 
@@ -358,8 +395,8 @@ def reference_lml(X, y, amplitude, lengthscales, noise):
     )
 
 
-def reference_log_prior(theta, priors, d):
-    coord = [priors.amplitude] + [priors.lengthscale] * d + [priors.noise]
+def reference_log_prior(theta, d):
+    coord = [PRIORS["amplitude"]] + [PRIORS["lengthscale"]] * d + [PRIORS["noise"]]
     total = 0.0
     for value, p in zip(theta, coord):
         total += log_pdf_at_log(p, float(value))
@@ -380,12 +417,11 @@ class TestFastPaths:
 
     def test_sampler_target_equals_likelihood_plus_sequential_prior(self):
         rng = np.random.default_rng(31)
-        priors = HyperPriors()
         draws = 0
         for X in fast_path_sets(rng):
             obs = ObservationSet(X, rng.normal(size=X.shape[0]))
             d = obs.dimension
-            target = _log_posterior(obs, priors)
+            target = _log_posterior(obs)
             for _ in range(34):
                 theta = np.concatenate(
                     [
@@ -399,7 +435,7 @@ class TestFastPaths:
                 assert lml == reference_lml(
                     obs.inputs, obs.targets, h.amplitude, h.lengthscales, h.noise
                 )
-                assert target(theta) == lml + reference_log_prior(theta, priors, d)
+                assert target(theta) == lml + reference_log_prior(theta, d)
                 draws += 1
         assert draws >= 100
 
@@ -492,11 +528,11 @@ class TestFastPaths:
                     rng.uniform(0.05, 2.0, d),
                     float(rng.uniform(1e-6, 0.1)),
                 )
-                state = fit(obs, h)
+                state = fit(obs, [h])
                 K = kernel_matrix(X, X, h)
                 L, jitter = reference_factor(K, h.amplitude, h.noise)
-                assert jitter == state.jitter
-                np.testing.assert_array_equal(state.chol, L)
+                assert jitter == state.jitters[0]
+                np.testing.assert_array_equal(state.chols[0], L)
                 alpha = cho_solve((L, True), obs.targets)
                 for n in (1, 7, 300):
                     Q = rng.random((n, d))
@@ -505,22 +541,18 @@ class TestFastPaths:
                     var = np.maximum(h.amplitude - np.sum(v * v, axis=0), 0.0) * obs.scale**2
                     mean = (k_star.T @ alpha) * obs.scale + obs.mean
                     got_mean, got_var = state.predict_batch(Q)
-                    np.testing.assert_array_equal(got_mean, mean)
-                    np.testing.assert_array_equal(got_var, var)
+                    np.testing.assert_array_equal(got_mean, mean[None])
+                    np.testing.assert_array_equal(got_var, var[None])
 
     def test_prior_support_is_closed(self):
-        priors = HyperPriors(
-            amplitude=LogNormalPrior(1.0, 1.0, 1e-2, 1e2),
-            lengthscale=LogNormalPrior(0.25, 1.0, 1e-3, 1e1),
-            noise=LogNormalPrior(0.01, 1.0, 1e-5, 1e0),
-        )
         rng = np.random.default_rng(43)
         obs = ObservationSet(rng.random((6, 2)), rng.normal(size=6))
-        target = _log_posterior(obs, priors)
+        target = _log_posterior(obs)
         centre = np.log([1.0, 0.25, 0.25, 0.01])
-        coord = [priors.amplitude, priors.lengthscale, priors.lengthscale, priors.noise]
-        for axis, p in enumerate(coord):
-            for bound, outward in ((p.low, -math.inf), (p.high, math.inf)):
+        for axis, p in enumerate(coordinate_priors(2)):
+            low, high = p[2:]
+            assert (low, high) == (1e-6, 1e3)
+            for bound, outward in ((low, -math.inf), (high, math.inf)):
                 edge = math.log(bound)
                 beyond = math.nextafter(edge, outward)
                 assert math.isfinite(log_pdf_at_log(p, edge))
