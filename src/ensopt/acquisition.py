@@ -18,15 +18,10 @@ def _ei_batch(means: np.ndarray, variances: np.ndarray, best: float) -> np.ndarr
     sigma = np.sqrt(variances)
     gap = best - means
     pos = sigma > 0.0
-    if pos.all():
-        z = gap / sigma
-        out = gap * ndtr(z) + sigma * INV_SQRT_2PI * np.exp(-0.5 * z * z)
-        return np.maximum(out, 0.0)
-    out = np.maximum(gap, 0.0)
-    if np.any(pos):
-        z = gap[pos] / sigma[pos]
-        out[pos] = gap[pos] * ndtr(z) + sigma[pos] * INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    return np.maximum(out, 0.0)
+    # sigma = 0 divides by 1 and keeps max(gap, 0); every other entry runs the EI formula
+    z = gap / np.where(pos, sigma, 1.0)
+    ei = gap * ndtr(z) + sigma * INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    return np.maximum(np.where(pos, ei, gap), 0.0)
 
 
 def _score(gp: GpState, best: float, points: np.ndarray) -> np.ndarray:

@@ -1,18 +1,21 @@
 """On-disk layout of a finished run.
 
-A run directory holds ``run.json`` (metadata, per-iteration audit log and
-final selections), the prediction rows of every trained model aligned with
-``history/configs.json``, and the labels of both evaluation splits.  The
-files are sufficient to rebuild selections without retraining anything.
+A run directory holds ``run.json`` (every ``RunArtifact`` field: metadata,
+per-iteration audit log and final selections), the columns of the model
+pool ``History`` (``history/configs.json`` lists each model's id, config
+values, point, validation loss and degenerate flag, and the prediction files
+hold its rows in the same order), and the labels of both evaluation splits.
+The files are sufficient to rebuild selections without retraining anything.
 
 Prediction and label files hold integer rows: one model (or one label
 vector) per line, label codes separated by commas, every line ending in
 ``\n``.  Codes of at most ten classes are one digit each, so such a file is
 a fixed grid of bytes; it is written and read as one ``uint8`` buffer, and
 anything else takes the general text path.  Loading rejects a code outside
-``[0, n_labels)``, and JSON documents of the wrong shape, with ``ValueError``.  Every file is written to a temporary
-name beside it and moved into place, so an interrupted save leaves either
-the previous file or the new one.
+``[0, n_labels)``, and JSON documents of the wrong shape, with
+``ValueError``.  Every file is written to a temporary name beside it and
+moved into place, so an interrupted save leaves either the previous file or
+the new one.
 """
 
 from __future__ import annotations
@@ -109,42 +112,33 @@ def space_digest(space_doc: dict[str, Any]) -> str:
 
 
 def save_artifact(directory: str, artifact: RunArtifact, history: History) -> None:
-    """Write one run directory; replaces files already present, each atomically."""
+    """Write one run directory; replaces files already present, each atomically.
+
+    ``run.json`` holds every ``RunArtifact`` field plus ``space_digest`` and
+    ``created_at``; the history files hold the columns of ``history``.
+    """
     os.makedirs(os.path.join(directory, "history"), exist_ok=True)
     doc = {
-        "engine": artifact.engine,
-        "budget": artifact.budget,
-        "init": artifact.init,
-        "seed": artifact.seed,
-        "loss": artifact.loss,
-        "space": artifact.space,
+        **asdict(artifact),
         "space_digest": space_digest(artifact.space),
-        "n_labels": artifact.n_labels,
-        "ensemble_size": artifact.ensemble_size,
-        "iterations": [asdict(it) for it in artifact.iterations],
-        "final": artifact.final,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     _write_json(os.path.join(directory, RUN_FILE), doc)
     configs = [
         {
-            "id": r.id,
-            "values": r.config.values,
-            "point": [float(x) for x in r.point],
-            "val_loss": r.val_loss,
-            "degenerate": r.degenerate,
+            "id": i,
+            "values": config.values,
+            "point": [float(x) for x in point],
+            "val_loss": val_loss,
+            "degenerate": degenerate,
         }
-        for r in history.records
+        for i, (config, point, val_loss, degenerate) in enumerate(
+            zip(history.configs, history.points, history.val_losses, history.degenerate)
+        )
     ]
     _write_json(os.path.join(directory, CONFIGS_FILE), configs)
-    _write_int_rows(
-        os.path.join(directory, VAL_PREDICTIONS_FILE),
-        np.array([r.val_row for r in history.records]),
-    )
-    _write_int_rows(
-        os.path.join(directory, TEST_PREDICTIONS_FILE),
-        np.array([r.test_row for r in history.records]),
-    )
+    _write_int_rows(os.path.join(directory, VAL_PREDICTIONS_FILE), np.array(history.val_rows))
+    _write_int_rows(os.path.join(directory, TEST_PREDICTIONS_FILE), np.array(history.test_rows))
     _write_int_rows(os.path.join(directory, VAL_LABELS_FILE), history.labels_val[None, :])
     _write_int_rows(os.path.join(directory, TEST_LABELS_FILE), history.labels_test[None, :])
 

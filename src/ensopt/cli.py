@@ -121,6 +121,7 @@ class RunConfig:
                 raise UsageError(
                     f"config field {name!r} must be a string, got {getattr(self, name)!r}"
                 )
+        _check_output_dir(self.output_dir)
         if self.test_dataset is not None and not isinstance(self.test_dataset, str):
             raise UsageError(
                 f"config field 'test_dataset' must be a string or null, got {self.test_dataset!r}"
@@ -172,6 +173,21 @@ def _check_int(name: str, value: Any, minimum: int) -> None:
         raise UsageError(f"config field {name!r} must be an integer, got {value!r}")
     if value < minimum:
         raise UsageError(f"config field {name!r} must be at least {minimum}")
+
+
+def _check_output_dir(path: str) -> None:
+    """``path`` must not be, or lie under, an existing non-directory."""
+    head = os.path.abspath(path)
+    while not os.path.isdir(head):
+        if os.path.lexists(head):
+            raise UsageError(f"config field 'output_dir' {path!r} is or lies under a file: {head}")
+        head = os.path.dirname(head)
+
+
+def _check_output_file(option: str, path: str) -> None:
+    """``path`` must name a non-directory inside an existing directory."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise UsageError(f"{option} must name a file in an existing directory, got {path!r}")
 
 
 def _check_space(path: Any, algorithms: Sequence[str]) -> None:
@@ -245,7 +261,7 @@ def execute_run(config: RunConfig) -> dict[str, Any]:
     final: dict[str, Any] = {
         "best": {
             "id": best_id,
-            "val_error": history.records[best_id].val_loss,
+            "val_error": history.val_losses[best_id],
             "test_error": evaluate_on_test(best_id, history),
         }
     }
@@ -295,6 +311,8 @@ def cmd_post(args: argparse.Namespace) -> int:
         raise UsageError("--size must be positive")
     if not 0 <= args.warm <= args.size:
         raise UsageError("--warm must lie in [0, --size]")
+    if args.out:
+        _check_output_file("--out", args.out)
     try:
         loaded = artifact_io.load_artifact(args.artifact)
     except (OSError, ValueError, KeyError) as exc:
@@ -432,12 +450,15 @@ def _batch_worker(config: RunConfig) -> list[tuple[str, str, str, float]]:
 def cmd_batch(args: argparse.Namespace) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
+    _check_output_file("--results", args.results)
     config = RunConfig.from_file(args.config)  # fail fast on bad configs
     seeds = _parse_seeds(args.seeds)
     configs = [
         replace(config, seed=s, output_dir=os.path.join(config.output_dir, f"seed_{s}"))
         for s in seeds
     ]
+    for seed_config in configs:
+        _check_output_dir(seed_config.output_dir)
     jobs = min(args.jobs or os.cpu_count() or 1, len(seeds))
     rows: list[tuple[str, str, str, float]] = []
     if jobs == 1:

@@ -44,30 +44,27 @@ class SearchSettings:
     refinements: int = 20
 
 
-@dataclass
-class HistoryRecord:
-    """One trained configuration and its cached prediction rows."""
-
-    id: int
-    config: Config
-    point: np.ndarray
-    val_row: np.ndarray
-    test_row: np.ndarray
-    val_loss: float
-    degenerate: bool = False
-
-
 class History:
-    """Insertion-ordered pool of every model trained during a run."""
+    """Insertion-ordered pool of every model trained during a run, one list per field.
+
+    Model ``i`` is entry ``i`` of ``configs``, ``points``, ``val_rows``,
+    ``test_rows``, ``val_losses`` and ``degenerate``; ``extend`` is the only
+    writer of these columns.
+    """
 
     def __init__(self, labels_val: np.ndarray, labels_test: np.ndarray, n_labels: int):
         self.labels_val = np.asarray(labels_val, dtype=np.int64)
         self.labels_test = np.asarray(labels_test, dtype=np.int64)
         self.n_labels = int(n_labels)
-        self.records: list[HistoryRecord] = []
+        self.configs: list[Config] = []
+        self.points: list[np.ndarray] = []
+        self.val_rows: list[np.ndarray] = []
+        self.test_rows: list[np.ndarray] = []
+        self.val_losses: list[float] = []
+        self.degenerate: list[bool] = []
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.configs)
 
     def append(
         self,
@@ -76,11 +73,11 @@ class History:
         val_row: np.ndarray,
         test_row: np.ndarray,
         degenerate: bool = False,
-    ) -> HistoryRecord:
-        # one-row views, so the record keeps the caller's int64 rows uncopied
+    ) -> None:
+        # one-row views, so the columns keep the caller's int64 rows uncopied
         val_rows = np.asarray(val_row, dtype=np.int64)[None]
         test_rows = np.asarray(test_row, dtype=np.int64)[None]
-        return self.extend([config], [point], val_rows, test_rows, [degenerate])[0]
+        self.extend([config], [point], val_rows, test_rows, [degenerate])
 
     def extend(
         self,
@@ -89,11 +86,11 @@ class History:
         val_rows: Sequence[np.ndarray] | np.ndarray,
         test_rows: Sequence[np.ndarray] | np.ndarray,
         degenerate: Sequence[bool],
-    ) -> list[HistoryRecord]:
-        """Add one record per config, with the next ids, in the order given."""
+    ) -> None:
+        """Add one model per config, in the order given."""
         m = len(configs)
         if m == 0:
-            return []
+            return
         val_rows = np.asarray(val_rows, dtype=np.int64)
         test_rows = np.asarray(test_rows, dtype=np.int64)
         if val_rows.shape != (m, *self.labels_val.shape):
@@ -105,43 +102,18 @@ class History:
             raise ValueError("configs, points and degenerate flags differ in length")
         # counting 0/1 mismatches is exact, so this equals the per-row mean
         losses = np.count_nonzero(val_rows != self.labels_val, axis=1) / self.labels_val.size
-        start = len(self.records)
-        added = [
-            HistoryRecord(
-                id=i,
-                config=config,
-                point=point,
-                val_row=val_row,
-                test_row=test_row,
-                val_loss=loss,
-                degenerate=bool(flag),
-            )
-            for i, config, point, val_row, test_row, loss, flag in zip(
-                range(start, start + m),
-                configs,
-                points,
-                val_rows,
-                test_rows,
-                losses.tolist(),
-                degenerate,
-            )
-        ]
-        self.records.extend(added)
-        return added
-
-    def points(self) -> np.ndarray:
-        return np.array([r.point for r in self.records])
-
-    def val_losses(self) -> np.ndarray:
-        return np.array([r.val_loss for r in self.records])
+        self.configs.extend(configs)
+        self.points.extend(points)
+        self.val_rows.extend(val_rows)
+        self.test_rows.extend(test_rows)
+        self.val_losses.extend(losses.tolist())
+        self.degenerate.extend(bool(flag) for flag in degenerate)
 
     def val_matrix(self) -> PredictionMatrix:
-        rows = np.array([r.val_row for r in self.records])
-        return PredictionMatrix(rows, self.labels_val, self.n_labels)
+        return PredictionMatrix(np.array(self.val_rows), self.labels_val, self.n_labels)
 
     def test_matrix(self) -> PredictionMatrix:
-        rows = np.array([r.test_row for r in self.records])
-        return PredictionMatrix(rows, self.labels_test, self.n_labels)
+        return PredictionMatrix(np.array(self.test_rows), self.labels_test, self.n_labels)
 
 
 class Evaluator(Protocol):
@@ -346,7 +318,7 @@ def run_eo(
                 u = sample(space, rng)
             else:
                 u, gp_samples, incumbent = _propose(
-                    space, history.points(), observations, settings, rng
+                    space, np.array(history.points), observations, settings, rng
                 )
         config = decode(u, space)
         val_row, test_row, failed = _safe_evaluate(evaluator, config, u, seed, i)
@@ -373,8 +345,7 @@ def select_best(history: History) -> int:
     """Id of the model with the lowest validation error, ties to lowest id."""
     if len(history) == 0:
         raise ValueError("history is empty")
-    losses = history.val_losses()
-    return int(np.argmin(losses))
+    return int(np.argmin(history.val_losses))
 
 
 def post_hoc(history: History, size: int, warm_k: int = 3) -> Ensemble:

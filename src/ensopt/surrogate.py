@@ -201,11 +201,6 @@ class GpState:
         self.alpha = np.stack(alphas)[:, :, None]  # (S, t, 1)
         self.lengthscales = np.stack([h.lengthscales for h in samples])  # (S, d)
         self.amplitudes = np.array([h.amplitude for h in samples])[:, None, None]  # (S, 1, 1)
-        # the LAPACK call scipy.linalg.solve_triangular(chol, b, lower=True)
-        # makes: the transposed factor when the factor is not Fortran-ordered
-        self._tris = [
-            (chol, 1, 0) if chol.flags.f_contiguous else (chol.T, 0, 1) for chol in self.chols
-        ]
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances, ``(S, m)`` each, at the rows of ``X``, in raw units.
@@ -217,7 +212,7 @@ class GpState:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.obs.dimension:
             raise ValueError("query points must match the observation dimension")
-        S, t, m = len(self._tris), self.obs.size, X.shape[0]
+        S, t, m = len(self.chols), self.obs.size, X.shape[0]
         block = max(1, PREDICT_BLOCK // (t * m))
         mean_std = np.empty((S, m))
         var_std = np.empty((S, m))
@@ -228,8 +223,10 @@ class GpState:
             k_star = _kernel_from_sqdists(r2, self.amplitudes[lo:hi])
             mean_std[lo:hi] = (k_star.swapaxes(1, 2) @ self.alpha[lo:hi])[:, :, 0]
             squares = np.empty((hi - lo, m, t))
-            for s, (tri, lower, trans) in enumerate(self._tris[lo:hi]):
-                v, info = dtrtrs(tri, k_star[s], lower, trans)
+            for s, chol in enumerate(self.chols[lo:hi]):
+                # the LAPACK call scipy.linalg.solve_triangular(chol, b, lower=True)
+                # makes on a C-ordered factor: the transposed upper factor
+                v, info = dtrtrs(chol.T, k_star[s], 0, 1)
                 if info != 0:
                     raise NumericalError(f"triangular solve failed (info {info})")
                 # v is Fortran-ordered, so each row of squares[s] is one of its

@@ -8,10 +8,12 @@ straightforward loops the fast paths in ``ensopt.learners`` and
 ``ensopt.data`` replaced; the tests require their outputs bit for bit.
 ``run_bo`` is the stand-alone single-model loop that ``ensopt.optimizer.run_bo``
 replaced by delegating to the one-slot ensemble loop; the tests require the
-same history and the same artifact.  ``write_int_rows`` and ``read_int_rows``
-are the text codec of integer rows that ``ensopt.artifact`` replaced by a
-byte-level one; the tests require the same file bytes and the same arrays or
-exception types.
+same history and the same artifact.  ``run_document`` is the field-by-field
+``run.json`` document that ``ensopt.artifact.save_artifact`` replaced by
+spreading ``dataclasses.asdict``; the tests require the same file bytes.
+``write_int_rows`` and ``read_int_rows`` are the text codec of integer rows
+that ``ensopt.artifact`` replaced by a byte-level one; the tests require the
+same file bytes and the same arrays or exception types.
 
 The zero-one and margin losses score one member list from scratch; the
 tests require ``VoteState.score_all`` and ``VoteState.zero_one`` to match
@@ -30,6 +32,7 @@ the same point bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from typing import Any, Sequence
@@ -38,6 +41,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ensopt.acquisition import INV_SQRT_2PI, _ei_batch
+from ensopt.artifact import space_digest
 from ensopt.data import SplitPlan
 from ensopt.ensemble import (
     Ensemble,
@@ -245,13 +249,14 @@ def run_bo(
         n_labels=evaluator.n_labels,
     )
     for i in range(budget):
-        losses = history.val_losses()
+        losses = np.array(history.val_losses)
         gp_samples = None
         incumbent = None
         if i < init:
             u = sample(space, rng)
         else:
-            u, gp_samples, incumbent = _propose(space, history.points(), losses, settings, rng)
+            points = np.array(history.points)
+            u, gp_samples, incumbent = _propose(space, points, losses, settings, rng)
         config = decode(u, space)
         val_row, test_row, failed = _safe_evaluate(evaluator, config, u, seed, i)
         history.append(config, u, val_row, test_row, degenerate=failed)
@@ -266,6 +271,23 @@ def run_bo(
             )
         )
     return history, artifact
+
+
+def run_document(artifact: RunArtifact) -> dict[str, Any]:
+    """``run.json`` of ``artifact`` without ``created_at``, listed field by field."""
+    return {
+        "engine": artifact.engine,
+        "budget": artifact.budget,
+        "init": artifact.init,
+        "seed": artifact.seed,
+        "loss": artifact.loss,
+        "space": artifact.space,
+        "space_digest": space_digest(artifact.space),
+        "n_labels": artifact.n_labels,
+        "ensemble_size": artifact.ensemble_size,
+        "iterations": [dataclasses.asdict(it) for it in artifact.iterations],
+        "final": artifact.final,
+    }
 
 
 def write_int_rows(path: str, rows: np.ndarray) -> None:

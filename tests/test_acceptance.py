@@ -265,14 +265,14 @@ class TestCriterion5SingleSlotFallback:
             space, stub, budget=20, ensemble_size=1, loss="zero_one",
             init=20, seed=505,
         )
-        losses = history.val_losses()
+        losses = np.array(history.val_losses)
         empty = Ensemble.empty(1).with_slot(0, None)
         for log in artifact.iterations:
             prefix = losses[: log.iteration]
             assert log.observation_digest == digest_vector(prefix)
         for t in range(1, 21):
             sub = PredictionMatrix(
-                np.array([r.val_row for r in history.records[:t]]),
+                np.array(history.val_rows[:t]),
                 history.labels_val,
                 history.n_labels,
             )

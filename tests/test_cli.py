@@ -76,6 +76,18 @@ def write_benchmark_csv(path) -> str:
     return str(path)
 
 
+def refuse_data(*args, **kwargs):
+    raise AssertionError("the command must be rejected before any data or artifact loads")
+
+
+def assert_usage_error(capsys, option):
+    """Exit 1 already seen: one ``error:`` line naming ``option``, nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and option in captured.err
+    assert "Traceback" not in captured.err
+
+
 def read_run_json(directory):
     with open(os.path.join(directory, "run.json"), "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -288,6 +300,29 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not os.path.exists(doc["output_dir"])
 
+    @pytest.mark.parametrize("layout", ["is-file", "under-file", "seed-dir-is-file"])
+    def test_output_dir_on_a_file_fails_before_data(self, tmp_path, capsys, monkeypatch, layout):
+        blocker = tmp_path / ("runs/seed_1" if layout == "seed-dir-is-file" else "blocker")
+        blocker.parent.mkdir(exist_ok=True)
+        blocker.write_text("keep", encoding="utf-8")
+        output_dir = {
+            "is-file": blocker,
+            "under-file": blocker / "run",
+            "seed-dir-is-file": blocker.parent,
+        }[layout]
+        cfg, _ = base_config(tmp_path, output_dir=str(output_dir))
+        results = str(tmp_path / "results.csv")
+        batch = ["batch", "--config", cfg, "--seeds", "1..2", "--results", results, "--jobs", "1"]
+        commands = [batch]
+        if layout != "seed-dir-is-file":
+            commands.append(["run", "--config", cfg])
+        monkeypatch.setattr(cli, "load_csv", refuse_data)
+        for argv in commands:
+            assert cli.main(argv) == 1
+            assert_usage_error(capsys, "'output_dir'")
+        assert blocker.read_text(encoding="utf-8") == "keep"
+        assert not os.path.exists(results)
+
     def test_unreadable_space_is_usage_error(self, tmp_path, capsys):
         for space in (str(tmp_path / "absent.json"), 5):
             cfg, doc = base_config(tmp_path, space=space)
@@ -306,7 +341,7 @@ class TestRunCommand:
         assert cli.main(["run", "--config", cfg]) == 0
         assert "test_error=" in capsys.readouterr().out
         history = load_artifact(doc["output_dir"]).history
-        assert not any(r.degenerate for r in history.records)
+        assert not any(history.degenerate)
 
     def test_required_fields_enforced(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
@@ -426,6 +461,14 @@ class TestPostCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot load artifact")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("out", ["missing/curve.csv", "."], ids=["missing-dir", "directory"])
+    def test_bad_out_path_fails_before_loading(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.setattr(cli.artifact_io, "load_artifact", refuse_data)
+        argv = ["post", "--artifact", str(tmp_path / "run"), "--size", "3"]
+        assert cli.main(argv + ["--out", str(tmp_path / out)]) == 1
+        assert_usage_error(capsys, "--out")
+        assert not os.path.exists(tmp_path / "missing")
 
     def test_invalid_sizes_are_usage_errors(self, tmp_path, capsys):
         assert cli.main(["post", "--artifact", "x", "--size", "0"]) == 1
@@ -615,6 +658,20 @@ class TestBatchCommand:
             assert "--jobs" in capsys.readouterr().err
         assert not os.path.exists(doc["output_dir"])
         assert not os.path.exists(results)
+
+    @pytest.mark.parametrize(
+        "results", ["missing/results.csv", "."], ids=["missing-dir", "directory"]
+    )
+    def test_bad_results_path_fails_before_training(self, tmp_path, capsys, monkeypatch, results):
+        monkeypatch.setattr(cli, "load_csv", refuse_data)
+        cfg, doc = base_config(tmp_path, output_dir=str(tmp_path / "runs"))
+        assert cli.main([
+            "batch", "--config", cfg, "--seeds", "1..2",
+            "--results", str(tmp_path / results), "--jobs", "1",
+        ]) == 1
+        assert_usage_error(capsys, "--results")
+        assert not os.path.exists(doc["output_dir"])
+        assert not os.path.exists(tmp_path / "missing")
 
     def test_jobs_capped_at_seed_count(self, tmp_path, capsys, monkeypatch):
         recorded = []

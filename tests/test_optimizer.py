@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import read_int_rows as text_read_int_rows
 from oracles import run_bo as stand_alone_bo
+from oracles import run_document
 from oracles import write_int_rows as text_write_int_rows
 
 from ensopt import artifact as artifact_io
@@ -157,17 +158,15 @@ class RaisingPointHashStub(PointHashStub):
 
 
 def assert_same_run(got, want):
-    """Two (History, RunArtifact) results agree record for record and field for field."""
+    """Two (History, RunArtifact) results agree column by column and field for field."""
     (got_hist, got_art), (want_hist, want_art) = got, want
     assert len(got_hist) == len(want_hist)
-    for rg, rw in zip(got_hist.records, want_hist.records):
-        assert rg.id == rw.id
-        assert rg.config.values == rw.config.values
-        assert rg.point.tobytes() == rw.point.tobytes()
-        assert rg.val_row.tobytes() == rw.val_row.tobytes()
-        assert rg.test_row.tobytes() == rw.test_row.tobytes()
-        assert rg.val_loss.hex() == rw.val_loss.hex()
-        assert rg.degenerate == rw.degenerate
+    assert [c.values for c in got_hist.configs] == [c.values for c in want_hist.configs]
+    for column in ("points", "val_rows", "test_rows"):
+        got_col, want_col = getattr(got_hist, column), getattr(want_hist, column)
+        assert [a.tobytes() for a in got_col] == [a.tobytes() for a in want_col], column
+    assert [x.hex() for x in got_hist.val_losses] == [x.hex() for x in want_hist.val_losses]
+    assert got_hist.degenerate == want_hist.degenerate
     assert [dataclasses.asdict(log) for log in got_art.iterations] == [
         dataclasses.asdict(log) for log in want_art.iterations
     ]
@@ -180,7 +179,7 @@ class TestRunBo:
         stub = RowStub([[0, 1]], [[0]], [0, 1], [0], 2)
         history, artifact = run_bo(UNIT, stub, budget=1, init=1, seed=0)
         assert len(history) == 1
-        assert history.records[0].val_loss == 0.0
+        assert history.val_losses[0] == 0.0
         log = artifact.iterations[0]
         assert log.incumbent is None
         assert log.observation_digest == digest_vector(np.empty(0))
@@ -188,28 +187,28 @@ class TestRunBo:
     def test_same_seed_reproduces_run(self):
         a_hist, a_art = run_bo(UNIT, PointHashStub(), 12, init=4, seed=5, settings=FAST)
         b_hist, b_art = run_bo(UNIT, PointHashStub(), 12, init=4, seed=5, settings=FAST)
-        np.testing.assert_array_equal(a_hist.points(), b_hist.points())
+        np.testing.assert_array_equal(a_hist.points, b_hist.points)
         for la, lb in zip(a_art.iterations, b_art.iterations):
             assert la.observation_digest == lb.observation_digest
 
     def test_different_seed_changes_run(self):
         a_hist, _ = run_bo(UNIT, PointHashStub(), 6, init=3, seed=5, settings=FAST)
         b_hist, _ = run_bo(UNIT, PointHashStub(), 6, init=3, seed=6, settings=FAST)
-        assert not np.array_equal(a_hist.points(), b_hist.points())
+        assert not np.array_equal(a_hist.points, b_hist.points)
 
     def test_finds_quadratic_minimum(self):
         history, _ = run_bo(
             UNIT, QuantizedCurve(), budget=30, init=6, seed=2, settings=FAST
         )
-        assert float(history.val_losses().min()) <= 0.001
-        best = history.records[select_best(history)]
-        assert abs(best.config["u"] - 0.3) < 0.05
+        assert min(history.val_losses) <= 0.001
+        best = history.configs[select_best(history)]
+        assert abs(best["u"] - 0.3) < 0.05
 
     def test_incumbent_tracks_prefix_minimum(self):
         history, artifact = run_bo(
             UNIT, QuantizedCurve(), budget=12, init=4, seed=3, settings=FAST
         )
-        losses = history.val_losses()
+        losses = np.array(history.val_losses)
         for log in artifact.iterations:
             if log.iteration >= 4:
                 assert log.incumbent == pytest.approx(
@@ -220,7 +219,7 @@ class TestRunBo:
 
     def test_digests_recomputable_from_history(self):
         history, artifact = run_bo(UNIT, PointHashStub(), 8, init=3, seed=7, settings=FAST)
-        losses = history.val_losses()
+        losses = history.val_losses
         for log in artifact.iterations:
             assert log.observation_digest == digest_vector(losses[: log.iteration])
 
@@ -240,11 +239,9 @@ class TestRunBo:
 
         stub = Flaky([[0, 1]] * 3, [[0]] * 3, [0, 1], [0], 2)
         history, artifact = run_bo(UNIT, stub, budget=3, init=3, seed=0)
-        rec = history.records[1]
-        assert rec.degenerate
-        np.testing.assert_array_equal(rec.val_row, [0, 0])
+        assert history.degenerate == [False, True, False]
+        np.testing.assert_array_equal(history.val_rows[1], [0, 0])
         assert artifact.iterations[1].degenerate
-        assert not history.records[0].degenerate
 
 
 class TestRunEo:
@@ -265,9 +262,8 @@ class TestRunEo:
             seed=11,
             settings=FAST,
         )
-        np.testing.assert_array_equal(bo_hist.points(), eo_hist.points())
-        for rb, re in zip(bo_hist.records, eo_hist.records):
-            np.testing.assert_array_equal(rb.val_row, re.val_row)
+        np.testing.assert_array_equal(bo_hist.points, eo_hist.points)
+        np.testing.assert_array_equal(bo_hist.val_rows, eo_hist.val_rows)
         for lb, le in zip(bo_art.iterations, eo_art.iterations):
             assert lb.observation_digest == le.observation_digest
             assert lb.incumbent == le.incumbent
@@ -311,7 +307,7 @@ class TestRunEo:
         history, _, artifact = run_eo(
             UNIT, stub, budget=3, ensemble_size=2, loss="zero_one", init=3, seed=0
         )
-        assert [r.degenerate for r in history.records] == [False, True, False]
+        assert history.degenerate == [False, True, False]
         assert artifact.iterations[1].degenerate
 
     @pytest.mark.parametrize("loss", ["hinge", zero_one_ensemble_loss], ids=["name", "callable"])
@@ -370,7 +366,7 @@ class TestRunEo:
         b = run_eo(
             UNIT, PointHashStub(), 10, 3, init=4, seed=21, settings=FAST
         )
-        np.testing.assert_array_equal(a[0].points(), b[0].points())
+        np.testing.assert_array_equal(a[0].points, b[0].points)
         assert a[1].slots == b[1].slots
 
     def test_invalid_arguments(self):
@@ -465,16 +461,31 @@ class TestHistoryExtend:
         for row in zip(configs, points, val_rows, test_rows, flags):
             one.append(*row)
         many.append(*next(zip(configs, points, val_rows, test_rows, flags)))
-        added = many.extend(configs[1:], points[1:], val_rows[1:], test_rows[1:], flags[1:])
-        assert [r.id for r in added] == list(range(1, 40))
-        for a, b in zip(one.records, many.records):
-            assert (a.id, a.config, a.degenerate) == (b.id, b.config, b.degenerate)
-            assert a.point.tobytes() == b.point.tobytes()
-            np.testing.assert_array_equal(a.val_row, b.val_row)
-            np.testing.assert_array_equal(a.test_row, b.test_row)
-            # the count-based loss carries the bits of the per-row mean
-            assert a.val_loss == b.val_loss == float(np.mean(b.val_row != labels_val))
-            assert type(b.val_loss) is float and type(b.degenerate) is bool
+        many.extend(configs[1:], points[1:], val_rows[1:], test_rows[1:], flags[1:])
+        assert len(one) == len(many) == 40
+        assert one.configs == many.configs == configs
+        assert one.degenerate == many.degenerate == [bool(f) for f in flags]
+        assert [p.tobytes() for p in one.points] == [p.tobytes() for p in many.points]
+        np.testing.assert_array_equal(one.val_rows, many.val_rows)
+        np.testing.assert_array_equal(one.test_rows, many.test_rows)
+        np.testing.assert_array_equal(many.val_rows, val_rows)
+        np.testing.assert_array_equal(many.test_rows, test_rows)
+        # the count-based loss carries the bits of the per-row mean
+        means = [float(np.mean(row != labels_val)) for row in val_rows]
+        assert one.val_losses == many.val_losses == means
+        assert all(type(x) is float for x in one.val_losses + many.val_losses)
+        assert all(type(x) is bool for x in one.degenerate + many.degenerate)
+
+    def test_append_keeps_the_callers_rows(self):
+        # a pool built one append at a time must not hold a second copy of its rows
+        val_rows = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int64)
+        test_rows = np.array([[0], [1]], dtype=np.int64)
+        history = History(np.array([0, 1, 1]), np.array([0]), 2)
+        for val, test in zip(val_rows, test_rows):
+            history.append(None, np.array([0.5]), val, test)
+        for got, given in zip(history.val_rows + history.test_rows, [*val_rows, *test_rows]):
+            assert np.shares_memory(got, given)
+            np.testing.assert_array_equal(got, given)
 
     def test_extend_rejects_row_shape_mismatch(self):
         history = History(np.array([0, 1, 1]), np.array([0]), 2)
@@ -503,12 +514,30 @@ class TestArtifactRoundTrip:
         np.testing.assert_array_equal(
             loaded.history.labels_val, history.labels_val
         )
-        for orig, back in zip(history.records, loaded.history.records):
-            np.testing.assert_array_equal(orig.val_row, back.val_row)
-            np.testing.assert_array_equal(orig.test_row, back.test_row)
-            np.testing.assert_allclose(orig.point, back.point)
-            assert orig.val_loss == back.val_loss
+        np.testing.assert_array_equal(history.val_rows, loaded.history.val_rows)
+        np.testing.assert_array_equal(history.test_rows, loaded.history.test_rows)
+        np.testing.assert_allclose(history.points, loaded.history.points)
+        assert history.val_losses == loaded.history.val_losses
         assert loaded.space.names == ("u",)
+
+    @pytest.mark.parametrize("engine", ["eo", "bo"])
+    def test_run_json_bytes_equal_field_by_field_document(self, tmp_path, engine):
+        if engine == "eo":
+            history, ensemble, artifact = run_eo(
+                UNIT, RaisingPointHashStub(), 9, 2, init=4, seed=17, settings=FAST
+            )
+            artifact.final = {"ensemble": {"ids": list(ensemble.slots), "val_error": 0.25}}
+        else:
+            history, artifact = run_bo(
+                UNIT, RaisingPointHashStub(), 7, init=3, seed=19, settings=FAST
+            )
+            artifact.final = {"best": {"id": select_best(history), "test_error": 1 / 3}}
+        out = str(tmp_path / "run")
+        save_artifact(out, artifact, history)
+        with open(os.path.join(out, artifact_io.RUN_FILE), "rb") as fh:
+            data = fh.read()
+        doc = {**run_document(artifact), "created_at": json.loads(data)["created_at"]}
+        assert data == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
     def test_non_contiguous_ids_rejected(self, tmp_path):
         history, artifact = run_bo(UNIT, PointHashStub(), 4, init=2, seed=3, settings=FAST)
@@ -528,7 +557,7 @@ class TestArtifactRoundTrip:
         out = str(tmp_path / "run")
         save_artifact(out, artifact, history)
         loaded = load_artifact(out)
-        losses = loaded.history.val_losses()
+        losses = loaded.history.val_losses
         for log in loaded.run["iterations"]:
             assert log["observation_digest"] == digest_vector(
                 losses[: log["iteration"]]
