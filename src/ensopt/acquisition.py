@@ -7,7 +7,6 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .hyperspace import SearchSpace
 from .surrogate import GpState
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -40,7 +39,6 @@ def _score(gp: GpState, best: float, points: np.ndarray) -> np.ndarray:
 def next_point(
     gp: GpState,
     best: float,
-    space: SearchSpace,
     rng: np.random.Generator,
     candidates: int,
     refinements: int,
@@ -53,7 +51,7 @@ def next_point(
     kept only when it strictly improves the score.  All randomness comes from
     ``rng``, so a fixed seed fixes the result.
     """
-    d = space.dimension
+    d = gp.obs.dimension
     points = rng.random((candidates, d))
     scores = _score(gp, best, points)
     idx = int(np.argmax(scores))

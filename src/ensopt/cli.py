@@ -20,8 +20,8 @@ from typing import Any, Sequence
 from . import artifact as artifact_io
 from .data import DataError, load_csv, make_split, merge_with_test
 from .ensemble import LOSSES, VoteState, zero_one_ensemble_loss
-from .hyperspace import load_space
-from .learners import ALGORITHMS, REQUIRED_PARAMS, default_space
+from .hyperspace import SearchSpace, load_space
+from .learners import ALGORITHMS, check_algorithms, check_space, default_space
 from .optimizer import (
     CrossValEvaluator,
     SearchSettings,
@@ -121,7 +121,7 @@ class RunConfig:
                 raise UsageError(
                     f"config field {name!r} must be a string, got {getattr(self, name)!r}"
                 )
-        _check_output_dir(self.output_dir)
+        _check_output_dir("config field 'output_dir'", self.output_dir)
         if self.test_dataset is not None and not isinstance(self.test_dataset, str):
             raise UsageError(
                 f"config field 'test_dataset' must be a string or null, got {self.test_dataset!r}"
@@ -148,16 +148,7 @@ class RunConfig:
             or not 0.0 < self.test_fraction < 1.0
         ):
             raise UsageError("config field 'test_fraction' must lie in (0, 1)")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise UsageError(f"config field 'algorithms' has unknown entry {a!r}")
-        if self.space is None and tuple(self.algorithms) == ("gnb",):
-            raise UsageError(
-                "config field 'algorithms': 'gnb' alone leaves nothing to tune; "
-                "add another algorithm or provide a space file"
-            )
-        if self.space is not None:
-            _check_space(self.space, self.algorithms)
+        _search_space(self)
         if self.loss not in LOSSES:
             raise UsageError(f"config field 'loss' must be one of {LOSSES}")
         for group, knobs in (("gp", GP_KNOBS), ("acquisition", ACQUISITION_KNOBS)):
@@ -175,12 +166,12 @@ def _check_int(name: str, value: Any, minimum: int) -> None:
         raise UsageError(f"config field {name!r} must be at least {minimum}")
 
 
-def _check_output_dir(path: str) -> None:
+def _check_output_dir(option: str, path: str) -> None:
     """``path`` must not be, or lie under, an existing non-directory."""
     head = os.path.abspath(path)
     while not os.path.isdir(head):
         if os.path.lexists(head):
-            raise UsageError(f"config field 'output_dir' {path!r} is or lies under a file: {head}")
+            raise UsageError(f"{option} {path!r} is or lies under a file: {head}")
         head = os.path.dirname(head)
 
 
@@ -190,8 +181,15 @@ def _check_output_file(option: str, path: str) -> None:
         raise UsageError(f"{option} must name a file in an existing directory, got {path!r}")
 
 
-def _check_space(path: Any, algorithms: Sequence[str]) -> None:
-    """Every algorithm the space file can select must find the parameters it reads."""
+def _search_space(config: RunConfig) -> SearchSpace:
+    """The space a run searches: the default one, or its space file after ``check_space``."""
+    try:
+        algorithms = check_algorithms(config.algorithms)
+        if config.space is None:
+            return default_space(algorithms)
+    except ValueError as exc:
+        raise UsageError(f"config field 'algorithms': {exc}") from None
+    path = config.space
     if not isinstance(path, str):
         raise UsageError(f"config field 'space' must be a path, got {path!r}")
     try:
@@ -200,44 +198,23 @@ def _check_space(path: Any, algorithms: Sequence[str]) -> None:
         raise UsageError(f"cannot read space file {path}: {exc}") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"space file {path} is malformed: {exc}") from None
-    selectable = tuple(algorithms)
-    if len(selectable) > 1:
-        if "algorithm" not in space.names or space["algorithm"].kind != "categorical":
-            raise UsageError(
-                f"space file {path}: several algorithms need a categorical "
-                "'algorithm' parameter"
-            )
-        selectable = space["algorithm"].categories
-        for algo in selectable:
-            if algo not in algorithms:
-                raise UsageError(
-                    f"space file {path}: 'algorithm' category {algo!r} is not "
-                    "in config field 'algorithms'"
-                )
-    for algo in selectable:
-        for name in REQUIRED_PARAMS[algo]:
-            if name not in space.names:
-                raise UsageError(
-                    f"space file {path}: algorithm {algo!r} requires parameter "
-                    f"{name!r}, which the space lacks"
-                )
-
-
-def _settings(config: RunConfig) -> SearchSettings:
-    return SearchSettings(**config.gp, **config.acquisition)
+    try:
+        return check_space(space, algorithms)
+    except ValueError as exc:
+        raise UsageError(f"space file {path}: {exc}") from None
 
 
 def execute_run(config: RunConfig) -> dict[str, Any]:
     """Run one optimization, write its artifact, return the summary."""
+    space = _search_space(config)
     data = load_csv(config.dataset, config.label_col)
     fixed_test = None
     if config.test_dataset is not None:
         test_data = load_csv(config.test_dataset, config.label_col)
         data, fixed_test = merge_with_test(data, test_data)
     plan = make_split(data, config.test_fraction, config.folds, config.seed, fixed_test)
-    space = load_space(config.space) if config.space else default_space(config.algorithms)
     evaluator = CrossValEvaluator(config.algorithms, data, plan)
-    settings = _settings(config)
+    settings = SearchSettings(**config.gp, **config.acquisition)
 
     engine, key = METHODS[config.method]
     if engine == "bo":
@@ -373,6 +350,8 @@ def _p_table(result: Comparison, alpha: float | None = None) -> list[list[str]]:
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.alpha not in NEMENYI_Q:
         raise UsageError("--alpha must be 0.05 or 0.10")
+    if args.out_dir:
+        _check_output_dir("--out-dir", args.out_dir)
     try:
         table = ResultTable.from_csv(args.results)
     except (OSError, ValueError) as exc:
@@ -458,7 +437,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         for s in seeds
     ]
     for seed_config in configs:
-        _check_output_dir(seed_config.output_dir)
+        _check_output_dir("config field 'output_dir'", seed_config.output_dir)
     jobs = min(args.jobs or os.cpu_count() or 1, len(seeds))
     rows: list[tuple[str, str, str, float]] = []
     if jobs == 1:

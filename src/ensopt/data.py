@@ -120,9 +120,7 @@ class SplitPlan:
     folds: tuple[np.ndarray, ...]
 
     def non_test(self, n: int) -> np.ndarray:
-        mask = np.ones(n, dtype=bool)
-        mask[self.test] = False
-        return np.flatnonzero(mask)
+        return np.delete(np.arange(n), self.test)
 
 
 def _largest_remainder(counts: np.ndarray, total: int, fraction: float) -> np.ndarray:
@@ -149,6 +147,7 @@ def make_split(
     counts within one of proportionality; folds partition the remaining
     indices, stratified the same way.  ``fixed_test`` pins the test indices
     instead of sampling them (used when a separate test file is supplied).
+    ``DataError`` when the test set, or the training set of some fold, is empty.
     """
     if folds < 2:
         raise DataError("at least 2 folds are required")
@@ -168,10 +167,9 @@ def make_split(
             perm = rng.permutation(idx)
             picks.append(perm[:q])
         test = np.sort(np.concatenate(picks))
-
-    mask = np.ones(n, dtype=bool)
-    mask[test] = False
-    rest = np.flatnonzero(mask)
+    if test.size == 0:
+        raise DataError(f"the test set is empty: {n} samples at test_fraction {test_fraction}")
+    rest = np.delete(np.arange(n), test)
     fold_lists: list[list[int]] = [[] for _ in range(folds)]
     for c in range(data.n_labels):
         idx = rest[data.labels[rest] == c]
@@ -184,6 +182,8 @@ def make_split(
         perm = rng.permutation(idx)
         for pos, sample_idx in enumerate(perm):
             fold_lists[(pos + c) % folds].append(int(sample_idx))
+    if any(len(f) == rest.size for f in fold_lists):
+        raise DataError(f"one fold holds all {rest.size} non-test samples: nothing to train on")
     return SplitPlan(
         test=test,
         folds=tuple(np.array(sorted(f), dtype=np.int64) for f in fold_lists),
@@ -206,16 +206,12 @@ def cross_val_predictions(
     """
     nontest = plan.non_test(data.n_samples)
     folds = [fold for fold in plan.folds if fold.size]
-    training_sets = []
-    for fold in folds:
-        train_mask = np.ones(data.n_samples, dtype=bool)
-        train_mask[plan.test] = False
-        train_mask[fold] = False
-        training_sets.append(data.subset(np.flatnonzero(train_mask)))
+    # nontest is sorted, so searchsorted finds each fold index's position
+    positions = [np.searchsorted(nontest, fold) for fold in folds]
+    training_sets = [data.subset(np.delete(nontest, pos)) for pos in positions]
     *fold_models, final = train(algo, config, [*training_sets, data.subset(nontest)])
     val_row = np.full(nontest.size, -1, dtype=np.int64)
-    for fold, model in zip(folds, fold_models):
-        # nontest is sorted, so searchsorted finds each fold index's position
-        val_row[np.searchsorted(nontest, fold)] = predict(model, data.features[fold])
+    for fold, pos, model in zip(folds, positions, fold_models):
+        val_row[pos] = predict(model, data.features[fold])
     test_row = predict(final, data.features[plan.test])
     return val_row, test_row

@@ -1,11 +1,13 @@
-"""Self-contained deterministic base classifiers.
+"""Self-contained deterministic base classifiers and their search spaces.
 
 Four algorithms share one ``train``/``predict`` interface: k-nearest
 neighbours, a CART-style decision tree, Gaussian naive Bayes and a
 one-vs-rest regularized linear classifier.  ``train`` fits one
 configuration on a sequence of datasets, such as every cross-validation
 fold and the refit, in one call.  Training on a single-class subset yields
-a constant model flagged as degenerate instead of an error.
+a constant model flagged as degenerate instead of an error.  ``PARAMS``
+lists each algorithm's parameters; ``default_space`` and ``check_space``
+build and check search spaces from it.
 
 k-nearest neighbours takes every training row strictly closer than the k-th
 smallest distance, then the rows at exactly that distance in training order
@@ -25,15 +27,19 @@ import numpy as np
 
 from .hyperspace import Config, ParamSpec, SearchSpace
 
-ALGORITHMS = ("knn", "tree", "gnb", "linear")
-
-# the configuration parameters each algorithm reads when it trains
-REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
-    "knn": ("n_neighbors",),
-    "tree": ("max_depth", "min_samples_split", "min_samples_leaf"),
+# each algorithm's parameters with their default ranges, in the order its
+# trainer reads them
+PARAMS: dict[str, tuple[ParamSpec, ...]] = {
+    "knn": (ParamSpec("n_neighbors", "integer", 1, 30),),
+    "tree": (
+        ParamSpec("max_depth", "integer", 1, 10),
+        ParamSpec("min_samples_split", "integer", 2, 100),
+        ParamSpec("min_samples_leaf", "integer", 2, 100),
+    ),
     "gnb": (),
-    "linear": ("C",),
+    "linear": (ParamSpec("C", "log-continuous", 1e-5, 1e5),),
 }
+ALGORITHMS = tuple(PARAMS)
 
 
 @dataclass
@@ -83,39 +89,66 @@ class TrainedModel:
     degenerate: bool = False
 
 
-def default_space(algorithms: Sequence[str] = ALGORITHMS) -> SearchSpace:
-    """Joint search space over the given algorithms and their tunables.
-
-    With several algorithms the first dimension picks the algorithm and the
-    remaining dimensions are the union of all subspaces; dimensions of
-    inactive algorithms are decoded but ignored at training time.
-    """
+def check_algorithms(algorithms: Sequence[str]) -> tuple[str, ...]:
+    """``algorithms`` as a tuple: non-empty, known names, no duplicates."""
     algos = tuple(algorithms)
+    if not algos:
+        raise ValueError("at least one algorithm is required")
     for a in algos:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
-    if len(algos) == 0:
-        raise ValueError("at least one algorithm is required")
-    specs: list[ParamSpec] = []
-    if len(algos) > 1:
-        specs.append(ParamSpec("algorithm", "categorical", categories=algos))
-    if "knn" in algos:
-        specs.append(ParamSpec("n_neighbors", "integer", 1, 30))
-    if "tree" in algos:
-        specs.append(ParamSpec("max_depth", "integer", 1, 10))
-        specs.append(ParamSpec("min_samples_split", "integer", 2, 100))
-        specs.append(ParamSpec("min_samples_leaf", "integer", 2, 100))
-    if "linear" in algos:
-        specs.append(ParamSpec("C", "log-continuous", 1e-5, 1e5))
+        if algos.count(a) > 1:
+            raise ValueError(f"algorithm {a!r} is listed twice")
+    return algos
+
+
+def default_space(algorithms: Sequence[str] = ALGORITHMS) -> SearchSpace:
+    """Joint search space over the given algorithms and their ``PARAMS``.
+
+    With several algorithms the first dimension, ``algorithm``, picks one;
+    the rest are the union of their ``PARAMS`` in table order.  Dimensions of
+    inactive algorithms are decoded but ignored at training time.
+    """
+    algos = check_algorithms(algorithms)
+    specs = [ParamSpec("algorithm", "categorical", categories=algos)] if len(algos) > 1 else []
+    specs += [spec for algo in PARAMS if algo in algos for spec in PARAMS[algo]]
+    if not specs:
+        raise ValueError(
+            f"{algos[0]!r} alone leaves nothing to tune; "
+            "add another algorithm or provide a space file"
+        )
     return SearchSpace(tuple(specs))
 
 
+def check_space(space: SearchSpace, algorithms: Sequence[str]) -> SearchSpace:
+    """``space`` once it can drive a run over a config's ``algorithms``.
+
+    With several algorithms a categorical ``algorithm`` parameter must
+    select among them; every algorithm it, or the one configured, can
+    select needs its ``PARAMS`` by name, in any range.
+    """
+    selectable = algos = check_algorithms(algorithms)
+    if len(algos) > 1:
+        if "algorithm" not in space.names or space["algorithm"].kind != "categorical":
+            raise ValueError("several algorithms need a categorical 'algorithm' parameter")
+        selectable = space["algorithm"].categories
+        for algo in selectable:
+            if algo not in algos:
+                raise ValueError(
+                    f"'algorithm' category {algo!r} is not in config field 'algorithms'"
+                )
+    missing = [(a, p.name) for a in selectable for p in PARAMS[a] if p.name not in space.names]
+    if missing:
+        raise ValueError("algorithm %r requires parameter %r, which the space lacks" % missing[0])
+    return space
+
+
 def _require(config: Config, algo: str) -> list[Any]:
-    """Values of the parameters ``algo`` reads, in ``REQUIRED_PARAMS`` order."""
-    for name in REQUIRED_PARAMS[algo]:
-        if name not in config.values:
-            raise ValueError(f"algorithm {algo!r} requires parameter {name!r}")
-    return [config.values[name] for name in REQUIRED_PARAMS[algo]]
+    """Values of the parameters ``algo`` reads, in ``PARAMS`` order."""
+    for spec in PARAMS[algo]:
+        if spec.name not in config.values:
+            raise ValueError(f"algorithm {algo!r} requires parameter {spec.name!r}")
+    return [config.values[spec.name] for spec in PARAMS[algo]]
 
 
 def _standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

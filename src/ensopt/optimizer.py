@@ -29,7 +29,7 @@ from .ensemble import (
     zero_one_ensemble_loss,
 )
 from .hyperspace import Config, SearchSpace, decode, sample
-from .learners import Dataset
+from .learners import Dataset, check_algorithms
 from .surrogate import ObservationSet, fit, slice_sample_hypers
 
 
@@ -137,9 +137,7 @@ class CrossValEvaluator:
         data: Dataset,
         plan: SplitPlan,
     ):
-        self.algorithms = tuple(algorithms)
-        if len(self.algorithms) == 0:
-            raise ValueError("at least one algorithm is required")
+        self.algorithms = check_algorithms(algorithms)
         self.data = data
         self.plan = plan
         nontest = plan.non_test(data.n_samples)
@@ -216,7 +214,6 @@ def _safe_evaluate(
 
 
 def _propose(
-    space: SearchSpace,
     points: np.ndarray,
     losses: np.ndarray,
     settings: SearchSettings,
@@ -229,12 +226,7 @@ def _propose(
     )
     incumbent = float(np.min(losses))
     point = next_point(
-        fit(obs, hyper_samples),
-        incumbent,
-        space,
-        rng,
-        settings.candidates,
-        settings.refinements,
+        fit(obs, hyper_samples), incumbent, rng, settings.candidates, settings.refinements
     )
     return point, [h.as_list() for h in hyper_samples], incumbent
 
@@ -318,7 +310,7 @@ def run_eo(
                 u = sample(space, rng)
             else:
                 u, gp_samples, incumbent = _propose(
-                    space, np.array(history.points), observations, settings, rng
+                    np.array(history.points), observations, settings, rng
                 )
         config = decode(u, space)
         val_row, test_row, failed = _safe_evaluate(evaluator, config, u, seed, i)

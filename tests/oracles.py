@@ -256,7 +256,7 @@ def run_bo(
             u = sample(space, rng)
         else:
             points = np.array(history.points)
-            u, gp_samples, incumbent = _propose(space, points, losses, settings, rng)
+            u, gp_samples, incumbent = _propose(points, losses, settings, rng)
         config = decode(u, space)
         val_row, test_row, failed = _safe_evaluate(evaluator, config, u, seed, i)
         history.append(config, u, val_row, test_row, degenerate=failed)

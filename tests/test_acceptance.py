@@ -164,8 +164,7 @@ class TestCriterion3ExpectedImprovement:
             [expected_improvement(*predict_one(state, c), best=0.1) for c in candidates]
         )
         oracle = candidates[int(np.argmax(scores))]
-        space = SearchSpace((ParamSpec("u", "continuous", 0.0, 1.0),))
-        picked = next_point(state, 0.1, space, np.random.default_rng(0), 1001, 0)
+        picked = next_point(state, 0.1, np.random.default_rng(0), 1001, 0)
         assert picked.tobytes() == oracle.tobytes()
         assert time.perf_counter() - start < 30.0
 

@@ -24,10 +24,6 @@ def oracle_ei(mean, variance, best):
     return gap * big_phi + sigma * phi
 
 
-def line_space() -> SearchSpace:
-    return SearchSpace((ParamSpec("x", "continuous", 0.0, 1.0),))
-
-
 class TestExpectedImprovement:
     def test_zero_variance_uses_plain_gap(self):
         assert expected_improvement(0.2, 0.0, 0.5) == pytest.approx(0.3)
@@ -95,8 +91,8 @@ class TestNextPoint:
         rng = np.random.default_rng(0)
         obs, samples, y = make_samples(rng)
         gp = fit(obs, samples)
-        a = next_point(gp, float(y.min()), line_space(), np.random.default_rng(9), 100, 5)
-        b = next_point(gp, float(y.min()), line_space(), np.random.default_rng(9), 100, 5)
+        a = next_point(gp, float(y.min()), np.random.default_rng(9), 100, 5)
+        b = next_point(gp, float(y.min()), np.random.default_rng(9), 100, 5)
         np.testing.assert_array_equal(a, b)
         assert 0.0 <= a[0] <= 1.0
 
@@ -106,14 +102,14 @@ class TestNextPoint:
         best = float(y.min())
         one = fit(obs, samples)
         two = fit(obs, samples * 2)
-        a = next_point(one, best, line_space(), np.random.default_rng(5), 200, 3)
-        b = next_point(two, best, line_space(), np.random.default_rng(5), 200, 3)
+        a = next_point(one, best, np.random.default_rng(5), 200, 3)
+        b = next_point(two, best, np.random.default_rng(5), 200, 3)
         np.testing.assert_array_equal(a, b)
 
     def test_avoids_lone_incumbent(self):
         obs = ObservationSet(np.array([[0.5]]), [0.3])
         gp = fit(obs, [GpHyperparams(1.0, np.array([0.2]), 1e-6)])
-        point = next_point(gp, 0.3, line_space(), np.random.default_rng(1), 500, 5)
+        point = next_point(gp, 0.3, np.random.default_rng(1), 500, 5)
         assert abs(point[0] - 0.5) > 1e-3
 
     def test_matches_candidate_oracle(self):
@@ -133,7 +129,7 @@ class TestNextPoint:
                 )
             scores /= len(samples)
             gp = fit(obs, samples)
-            point = next_point(gp, best, line_space(), np.random.default_rng(trial), 1001, 0)
+            point = next_point(gp, best, np.random.default_rng(trial), 1001, 0)
             assert point.tobytes() == candidates[int(np.argmax(scores))].tobytes()
 
     def test_refinement_never_hurts_score(self):
@@ -142,8 +138,8 @@ class TestNextPoint:
         best = float(y.min())
         gp = fit(obs, samples)
         # the same seed draws the same candidates, so p0 is where p1 starts
-        p0 = next_point(gp, best, line_space(), np.random.default_rng(8), 101, 0)
-        p1 = next_point(gp, best, line_space(), np.random.default_rng(8), 101, 10)
+        p0 = next_point(gp, best, np.random.default_rng(8), 101, 0)
+        p1 = next_point(gp, best, np.random.default_rng(8), 101, 10)
 
         def score(point):
             total = 0.0
@@ -176,7 +172,7 @@ def assert_matches_per_sample_reference(obs, samples, best, points_list, space, 
     for points in points_list:
         got = _score(gp, best, points)
         assert got.tobytes() == oracles.score(singles, best, points).tobytes()
-    got = next_point(gp, best, space, np.random.default_rng(seed), 64, 5)
+    got = next_point(gp, best, np.random.default_rng(seed), 64, 5)
     want = oracles.next_point(singles, best, space, np.random.default_rng(seed), 64, 5)
     assert got.tobytes() == want.tobytes()
 

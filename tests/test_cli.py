@@ -204,6 +204,8 @@ class TestRunCommand:
             ({"label_col": True}, "label_col"),
             ({"label_col": 1.5}, "label_col"),
             ({"algorithms": 5}, "algorithms"),
+            ({"algorithms": []}, "algorithms"),
+            ({"algorithms": ["knn", "knn"]}, "algorithms"),
         ],
     )
     def test_bad_field_fails_before_training(self, tmp_path, capsys, monkeypatch, overrides, field):
@@ -273,6 +275,8 @@ class TestRunCommand:
             (["tree"], [{"name": "max_depth", "kind": "integer", "lower": 1, "upper": 5}],
              "algorithm 'tree' requires parameter 'min_samples_split'"),
             (["knn"], [{"name": "n_neighbors", "kind": "integer"}], "is malformed"),
+            ([], [{"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 9}],
+             "error: config field 'algorithms': at least one algorithm is required"),
         ],
         ids=[
             "renamed-param",
@@ -281,6 +285,7 @@ class TestRunCommand:
             "unconfigured-category",
             "partial-tree",
             "malformed",
+            "no-algorithms",
         ],
     )
     def test_space_mismatch_fails_before_data(
@@ -322,6 +327,23 @@ class TestRunCommand:
             assert_usage_error(capsys, "'output_dir'")
         assert blocker.read_text(encoding="utf-8") == "keep"
         assert not os.path.exists(results)
+
+    @pytest.mark.parametrize(
+        "test_fraction", [0.001, 0.99], ids=["empty-test", "one-training-row"]
+    )
+    @pytest.mark.filterwarnings("ignore:label .* folds will miss it")
+    def test_split_without_test_or_training_rows_is_data_error(
+        self, tmp_path, capsys, monkeypatch, test_fraction
+    ):
+        # 60 rows: 0.001 leaves no test row, 0.99 leaves one non-test row for 2 folds
+        cfg, doc = base_config(tmp_path, folds=2, test_fraction=test_fraction)
+        monkeypatch.setattr(cli, "run_bo", refuse_data)
+        assert cli.main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: ")
+        assert "Traceback" not in captured.err
+        assert not os.path.exists(doc["output_dir"])
 
     def test_unreadable_space_is_usage_error(self, tmp_path, capsys):
         for space in (str(tmp_path / "absent.json"), 5):
@@ -551,6 +573,18 @@ class TestCompareCommand:
         for report in ("mean_errors.csv", "pairwise_p.csv"):
             with open(os.path.join(golden, report), "rb") as fh:
                 assert (out_dir / report).read_bytes() == fh.read()
+
+    @pytest.mark.parametrize(
+        "out_dir", ["blocker", "blocker/report"], ids=["is-file", "under-file"]
+    )
+    def test_out_dir_on_a_file_fails_before_reading(self, tmp_path, capsys, monkeypatch, out_dir):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep", encoding="utf-8")
+        monkeypatch.setattr(cli.ResultTable, "from_csv", refuse_data)
+        argv = ["compare", "--results", str(tmp_path / "results.csv")]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / out_dir)]) == 1
+        assert_usage_error(capsys, "--out-dir")
+        assert blocker.read_text(encoding="utf-8") == "keep"
 
     @pytest.mark.parametrize(
         "n_methods, n_datasets", [(11, 3), (3, 1)], ids=["eleven-methods", "one-dataset"]

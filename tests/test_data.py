@@ -188,6 +188,20 @@ class TestMakeSplit:
         with pytest.raises(DataError):
             make_split(data, 1.5, 4, seed=0)
 
+    @pytest.mark.filterwarnings("ignore:label .* folds will miss it")
+    def test_split_leaving_no_test_or_training_rows_rejected(self):
+        data = labeled_dataset({0: 30, 1: 30})
+        with pytest.raises(DataError, match="test set is empty"):
+            make_split(data, 0.001, 2, seed=0)
+        with pytest.raises(DataError, match="test set is empty"):
+            make_split(data, 0.3, 2, seed=0, fixed_test=np.array([], dtype=np.int64))
+        # one non-test row: the fold holding it has nothing to train on
+        with pytest.raises(DataError, match="one fold holds all 1 non-test samples"):
+            make_split(data, 0.99, 2, seed=0)
+        with pytest.raises(DataError, match="one fold holds all 1 non-test samples"):
+            make_split(data, 0.3, 5, seed=0, fixed_test=np.arange(1, 60))
+        assert make_split(data, 0.3, 2, seed=0, fixed_test=np.arange(2, 60)).test.size == 58
+
     def test_non_test_complements_test(self):
         data = labeled_dataset({0: 30, 1: 30})
         plan = make_split(data, 0.25, 3, seed=2)
@@ -223,11 +237,10 @@ class TestCrossValPredictions:
 
     def test_majority_model_error_is_minority_frequency(self):
         # a neighbourhood covering the whole training fold votes the global
-        # majority everywhere, so the pooled error is the minority share
-        data = labeled_dataset({0: 30, 1: 70}, seed=8)
-        plan = make_split(
-            data, 0.5, 5, seed=8, fixed_test=np.array([], dtype=np.int64)
-        )
+        # majority everywhere, so the pooled error is the minority share;
+        # the test set takes one row of each label and leaves 30 and 70
+        data = labeled_dataset({0: 31, 1: 71}, seed=8)
+        plan = make_split(data, 0.5, 5, seed=8, fixed_test=np.array([0, 31]))
         val_row, _ = cross_val_predictions(
             "knn", Config({"n_neighbors": 1000}), data, plan
         )
@@ -271,25 +284,27 @@ class TestCrossValPredictions:
 
 class TestFoldLosses:
     def test_equal_folds_average_to_pooled_loss(self):
-        data = labeled_dataset({0: 50, 1: 50}, seed=12)
-        plan = make_split(
-            data, 0.5, 5, seed=12, fixed_test=np.array([], dtype=np.int64)
-        )
+        # the test set takes one row of each label, leaving 50 and 50
+        data = labeled_dataset({0: 51, 1: 51}, seed=12)
+        plan = make_split(data, 0.5, 5, seed=12, fixed_test=np.array([0, 51]))
+        labels_val = data.labels[plan.non_test(data.n_samples)]
         rng = np.random.default_rng(3)
-        val_row = rng.integers(0, 2, size=data.n_samples)
-        losses = fold_losses(val_row, data.labels, plan, data.n_samples)
+        val_row = rng.integers(0, 2, size=labels_val.size)
+        losses = fold_losses(val_row, labels_val, plan, data.n_samples)
         assert len(losses) == 5
-        pooled = float(np.mean(val_row != data.labels))
+        pooled = float(np.mean(val_row != labels_val))
         assert np.mean(losses) == pytest.approx(pooled, rel=1e-12)
 
     def test_single_fold_loss_matches_direct_count(self):
-        data = labeled_dataset({0: 10, 1: 10}, seed=13)
-        plan = make_split(
-            data, 0.5, 2, seed=13, fixed_test=np.array([], dtype=np.int64)
-        )
-        val_row = data.labels.copy()
+        # the test set takes one row of each label, leaving 10 and 10
+        data = labeled_dataset({0: 11, 1: 11}, seed=13)
+        plan = make_split(data, 0.5, 2, seed=13, fixed_test=np.array([0, 11]))
+        nontest = plan.non_test(data.n_samples)
+        labels_val = data.labels[nontest]
+        val_row = labels_val.copy()
         fold0 = plan.folds[0]
-        val_row[fold0[0]] = 1 - val_row[fold0[0]]
-        losses = fold_losses(val_row, data.labels, plan, data.n_samples)
+        flipped = np.searchsorted(nontest, fold0[0])
+        val_row[flipped] = 1 - val_row[flipped]
+        losses = fold_losses(val_row, labels_val, plan, data.n_samples)
         assert losses[0] == pytest.approx(1.0 / fold0.size)
         assert losses[1] == 0.0

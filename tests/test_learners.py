@@ -1,5 +1,7 @@
 """Tests for the base classifiers and their shared training front door."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from ensopt import learners
 from ensopt.hyperspace import Config
 from ensopt.learners import (
     ALGORITHMS,
-    REQUIRED_PARAMS,
     Dataset,
+    check_space,
     default_space,
     predict,
     train,
@@ -55,17 +57,39 @@ class TestDefaultSpace:
         space = default_space(["knn"])
         assert space.names == ("n_neighbors",)
 
-    def test_required_parameters_span_each_default_space(self):
-        assert set(REQUIRED_PARAMS) == set(ALGORITHMS)
-        for algo, names in REQUIRED_PARAMS.items():
-            if names:
-                assert set(default_space([algo]).names) == set(names)
+    def test_full_space_is_unchanged(self):
+        assert default_space(ALGORITHMS).to_dict() == {"params": [
+            {"name": "algorithm", "kind": "categorical",
+             "categories": ["knn", "tree", "gnb", "linear"]},
+            {"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 30},
+            {"name": "max_depth", "kind": "integer", "lower": 1, "upper": 10},
+            {"name": "min_samples_split", "kind": "integer", "lower": 2, "upper": 100},
+            {"name": "min_samples_leaf", "kind": "integer", "lower": 2, "upper": 100},
+            {"name": "C", "kind": "log-continuous", "lower": 1e-05, "upper": 100000.0},
+        ]}
 
-    def test_unknown_algorithm_rejected(self):
+    def test_every_default_space_passes_check_space(self):
+        subsets = [
+            s for r in range(1, len(ALGORITHMS) + 1) for s in itertools.combinations(ALGORITHMS, r)
+        ]
+        assert len(subsets) == 15
+        for subset in subsets:
+            if subset == ("gnb",):
+                with pytest.raises(ValueError, match="add another algorithm or provide a space"):
+                    default_space(subset)
+            else:
+                space = default_space(subset)
+                assert check_space(space, subset) is space
+
+    @pytest.mark.parametrize(
+        "algorithms", [["knn", "svm"], [], ["knn", "knn"]], ids=["unknown", "empty", "duplicate"]
+    )
+    def test_bad_algorithm_list_rejected(self, algorithms):
+        space = default_space(["knn"])
         with pytest.raises(ValueError):
-            default_space(["knn", "svm"])
+            default_space(algorithms)
         with pytest.raises(ValueError):
-            default_space([])
+            check_space(space, algorithms)
 
 
 class TestKnn:
