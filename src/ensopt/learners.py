@@ -124,8 +124,9 @@ def check_space(space: SearchSpace, algorithms: Sequence[str]) -> SearchSpace:
     """``space`` once it can drive a run over a config's ``algorithms``.
 
     With several algorithms a categorical ``algorithm`` parameter must
-    select among them; every algorithm it, or the one configured, can
-    select needs its ``PARAMS`` by name, in any range.
+    select among them; with one there must be none.  Every algorithm it, or
+    the one configured, can select needs its ``PARAMS`` by name, in any
+    numeric range, and every other parameter must be one of theirs.
     """
     selectable = algos = check_algorithms(algorithms)
     if len(algos) > 1:
@@ -137,9 +138,17 @@ def check_space(space: SearchSpace, algorithms: Sequence[str]) -> SearchSpace:
                 raise ValueError(
                     f"'algorithm' category {algo!r} is not in config field 'algorithms'"
                 )
+    elif "algorithm" in space.names:
+        raise ValueError(f"one algorithm ({algos[0]!r}) needs no 'algorithm' parameter")
     missing = [(a, p.name) for a in selectable for p in PARAMS[a] if p.name not in space.names]
     if missing:
         raise ValueError("algorithm %r requires parameter %r, which the space lacks" % missing[0])
+    read = {p.name for a in selectable for p in PARAMS[a]}
+    for spec in space.params:
+        if spec.name in read and spec.kind == "categorical":
+            raise ValueError(f"parameter {spec.name!r} needs a numeric kind, not categorical")
+        if spec.name not in read and spec.name != "algorithm":
+            raise ValueError(f"parameter {spec.name!r} is read by no selectable algorithm")
     return space
 
 

@@ -110,14 +110,10 @@ class ObservationSet:
         return self.inputs.shape[1]
 
 
-def _sqdists(A: np.ndarray, A_sqnorms: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of A and B, given A's column of row norms.
-
-    Stacks ``(S, t, d)`` and ``(S, m, d)`` give ``(S, t, m)``: each sample's
-    slice goes through the same BLAS and reduction calls as its 2-d form.
-    """
-    d2 = A_sqnorms + (B * B).sum(axis=-1)[..., None, :] - 2.0 * (A @ B.swapaxes(-1, -2))
-    return np.maximum(d2, 0.0)
+def _sq_diffs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared coordinate differences between the rows of A and B, ``(a, b, d)``."""
+    diffs = A[:, None, :] - B[None, :, :]
+    return diffs * diffs
 
 
 def _matern_shape(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,10 +164,11 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 class GpState:
     """A GP conditioned on one observation set under S hyperparameter samples.
 
-    The arrays carry a leading sample axis.  Prediction runs the kernel
-    arithmetic of a block of samples as one batched numpy call per step and
-    makes the triangular solve once per sample.  Each sample's slice goes
-    through the BLAS, LAPACK and reduction calls a one-sample state makes, so
+    The arrays carry a leading sample axis.  Each sample's factor comes from
+    ``_KernelCache.factor``: the one whose likelihood the slice sampler
+    scored, bit for bit.  Prediction runs the kernel arithmetic of a block
+    of samples as one batched numpy call per step and makes the triangular
+    solve once per sample, through the calls a one-sample state makes, so
     the results do not depend on the block size.
     """
 
@@ -181,25 +178,13 @@ class GpState:
         if any(h.lengthscales.shape != (obs.dimension,) for h in samples):
             raise ValueError("one lengthscale per input dimension is required")
         self.obs = obs
-        parts = []
-        for h in samples:
-            # query-independent halves of the kernel and of the triangular solve
-            scaled = obs.inputs / h.lengthscales
-            sqnorms = (scaled * scaled).sum(axis=1)[:, None]
-            # a distinct second operand keeps the product a general matrix
-            # multiply: with the same array twice numpy may round it as a
-            # symmetric rank-k update
-            r2 = _sqdists(scaled, sqnorms, scaled.copy())
-            chol, jitter = _factorize(_kernel_from_sqdists(r2, h.amplitude), h.amplitude, h.noise)
-            alpha = _cho_solve(chol, obs.targets)
-            parts.append((scaled, sqnorms, chol, jitter, alpha))
-        scaled, sqnorms, chols, jitters, alphas = zip(*parts)
-        self.scaled = np.stack(scaled)  # (S, t, d)
-        self.sqnorms = np.stack(sqnorms)  # (S, t, 1)
-        self.chols = np.stack(chols)  # (S, t, t)
-        self.jitters = list(jitters)
-        self.alpha = np.stack(alphas)[:, :, None]  # (S, t, 1)
-        self.lengthscales = np.stack([h.lengthscales for h in samples])  # (S, d)
+        kernel = _KernelCache(obs)
+        factors = [kernel.factor(h.amplitude, h.lengthscales, h.noise) for h in samples]
+        self.chols = np.stack([chol for chol, _ in factors])  # (S, t, t)
+        self.jitters = [jitter for _, jitter in factors]
+        self.alpha = np.stack([_cho_solve(chol, obs.targets) for chol, _ in factors])[:, :, None]
+        # (S, 1, d, 1): one column per sample, broadcast over the t observations
+        self.inv_sq = np.stack([1.0 / h.lengthscales**2 for h in samples])[:, None, :, None]
         self.amplitudes = np.array([h.amplitude for h in samples])[:, None, None]  # (S, 1, 1)
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,12 +199,12 @@ class GpState:
             raise ValueError("query points must match the observation dimension")
         S, t, m = len(self.chols), self.obs.size, X.shape[0]
         block = max(1, PREDICT_BLOCK // (t * m))
+        sq = _sq_diffs(self.obs.inputs, X)[None]  # (1, t, m, d)
         mean_std = np.empty((S, m))
         var_std = np.empty((S, m))
         for lo in range(0, S, block):
             hi = min(lo + block, S)
-            scaled_X = X / self.lengthscales[lo:hi, None, :]
-            r2 = _sqdists(self.scaled[lo:hi], self.sqnorms[lo:hi], scaled_X)
+            r2 = (sq @ self.inv_sq[lo:hi])[..., 0]
             k_star = _kernel_from_sqdists(r2, self.amplitudes[lo:hi])
             mean_std[lo:hi] = (k_star.swapaxes(1, 2) @ self.alpha[lo:hi])[:, :, 0]
             squares = np.empty((hi - lo, m, t))
@@ -241,21 +226,20 @@ def fit(obs: ObservationSet, samples: Sequence[GpHyperparams]) -> GpState:
     return GpState(obs, samples)
 
 
-class _LmlCache:
-    """Fast marginal-likelihood evaluation over one observation set.
+class _KernelCache:
+    """The factorized covariance and marginal likelihood over one observation set.
 
-    Precomputes per-dimension squared coordinate differences so repeated
-    evaluations under different hyperparameters only contract against the
-    inverse squared lengthscales.  The slice sampler moves one coordinate at
-    a time, so the Matern shape of the last lengthscales and the kernel of
-    the last amplitude are kept: a move along the amplitude or the noise
-    axis skips the contraction and the exponential.
+    Holds the ``(t, t, d)`` squared coordinate differences, so evaluations
+    under different hyperparameters only contract them against the inverse
+    squared lengthscales.  The slice sampler moves one coordinate at a time,
+    so the Matern shape of the last lengthscales and the kernel of the last
+    amplitude are kept: a move along the amplitude or the noise axis skips
+    the contraction and the exponential.  ``GpState`` takes its factors from
+    the same ``factor`` that the likelihood calls.
     """
 
     def __init__(self, obs: ObservationSet):
-        X = obs.inputs
-        diffs = X[:, None, :] - X[None, :, :]
-        self.sq = diffs * diffs  # (t, t, d)
+        self.sq = _sq_diffs(obs.inputs, obs.inputs)  # (t, t, d)
         self.y = obs.targets
         # the Matern shape of the last lengthscales, the kernel of the last amplitude
         self._shape_key: bytes | None = None
@@ -263,8 +247,10 @@ class _LmlCache:
         self._amplitude: float | None = None
         self._K = np.empty(0)
 
-    def __call__(self, amplitude: float, lengthscales: np.ndarray, noise: float) -> float:
-        y = self.y
+    def factor(
+        self, amplitude: float, lengthscales: np.ndarray, noise: float
+    ) -> tuple[np.ndarray, float]:
+        """``_factorize`` of the covariance: its lower Cholesky factor and the jitter."""
         key = lengthscales.tobytes()
         if key != self._shape_key:
             self._shape = _matern_shape(self.sq @ (1.0 / lengthscales**2))
@@ -275,7 +261,12 @@ class _LmlCache:
             self._K = amplitude * poly * e
             self._amplitude = amplitude
         # _factorize shifts the diagonal in place, so it gets a copy
-        L, _ = _factorize(self._K.copy(), amplitude, noise)
+        return _factorize(self._K.copy(), amplitude, noise)
+
+    def __call__(self, amplitude: float, lengthscales: np.ndarray, noise: float) -> float:
+        """Log marginal likelihood of the standardized targets."""
+        y = self.y
+        L, _ = self.factor(amplitude, lengthscales, noise)
         alpha = _cho_solve(L, y)
         return float(
             -0.5 * (y @ alpha) - np.log(L.diagonal()).sum() - 0.5 * y.shape[0] * LOG_2PI
@@ -295,7 +286,7 @@ def _log_posterior(obs: ObservationSet):
     points whose covariance cannot be factorized, get ``-inf``.
     """
     d = obs.dimension
-    lml = _LmlCache(obs)
+    lml = _KernelCache(obs)
     terms = [
         (math.log(low), math.log(high), math.log(median), sd, math.log(sd))
         for median, sd, low, high in coordinate_priors(d)

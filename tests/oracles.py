@@ -74,8 +74,8 @@ from ensopt.surrogate import (
     GpState,
     ObservationSet,
     _kernel_from_sqdists,
-    _LmlCache,
-    _sqdists,
+    _KernelCache,
+    _sq_diffs,
 )
 
 
@@ -431,15 +431,10 @@ def encode(config: Config, space: SearchSpace) -> np.ndarray:
     return out
 
 
-def _scaled_sqdists(X1: np.ndarray, X2: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    A = X1 / lengthscales
-    return _sqdists(A, (A * A).sum(axis=1)[:, None], X2 / lengthscales)
-
-
 def kernel_matrix(X1: np.ndarray, X2: np.ndarray, hypers: GpHyperparams) -> np.ndarray:
     """Covariance matrix between two sets of points."""
     return _kernel_from_sqdists(
-        _scaled_sqdists(X1, X2, hypers.lengthscales), hypers.amplitude
+        _sq_diffs(X1, X2) @ (1.0 / hypers.lengthscales**2), hypers.amplitude
     )
 
 
@@ -450,7 +445,7 @@ def log_marginal_likelihood(obs: ObservationSet, hypers: GpHyperparams) -> float
     """
     if hypers.lengthscales.shape != (obs.dimension,):
         raise ValueError("one lengthscale per input dimension is required")
-    return _LmlCache(obs)(hypers.amplitude, hypers.lengthscales, hypers.noise)
+    return _KernelCache(obs)(hypers.amplitude, hypers.lengthscales, hypers.noise)
 
 
 def predict_one(state: GpState, x: np.ndarray) -> tuple[float, float]:

@@ -277,6 +277,14 @@ class TestRunCommand:
             (["knn"], [{"name": "n_neighbors", "kind": "integer"}], "is malformed"),
             ([], [{"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 9}],
              "error: config field 'algorithms': at least one algorithm is required"),
+            (["gnb"], [{"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 9}],
+             "parameter 'n_neighbors' is read by no selectable algorithm"),
+            (["knn"],
+             [{"name": "algorithm", "kind": "categorical", "categories": ["knn", "tree"]},
+              {"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 9}],
+             "one algorithm ('knn') needs no 'algorithm' parameter"),
+            (["knn"], [{"name": "n_neighbors", "kind": "categorical", "categories": ["few", "many"]}],
+             "parameter 'n_neighbors' needs a numeric kind, not categorical"),
         ],
         ids=[
             "renamed-param",
@@ -286,6 +294,9 @@ class TestRunCommand:
             "partial-tree",
             "malformed",
             "no-algorithms",
+            "unread-param",
+            "selector-for-one-algorithm",
+            "categorical-learner-param",
         ],
     )
     def test_space_mismatch_fails_before_data(

@@ -15,7 +15,7 @@ from ensopt.surrogate import (
     ObservationSet,
     _factorize,
     _kernel_from_sqdists,
-    _LmlCache,
+    _KernelCache,
     _log_posterior,
     _theta_to_hypers,
     coordinate_priors,
@@ -456,7 +456,7 @@ class TestFastPaths:
                 (0.6, ls_a.copy(), 1e-7),  # and back
                 (1.3, ls_a, 1e-3),
             ]
-            lml = _LmlCache(obs)
+            lml = _KernelCache(obs)
             for amplitude, ls, noise in calls:
                 want = reference_lml(obs.inputs, obs.targets, amplitude, ls, noise)
                 assert lml(amplitude, ls, noise) == want
@@ -543,6 +543,28 @@ class TestFastPaths:
                     got_mean, got_var = state.predict_batch(Q)
                     np.testing.assert_array_equal(got_mean, mean[None])
                     np.testing.assert_array_equal(got_var, var[None])
+
+    @pytest.mark.parametrize("t", [1, 5, 19, 60])
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_state_factors_are_the_sampled_likelihood_factors(self, monkeypatch, t, d):
+        """Each sample's factor and jitter are those the slice sampler's likelihood computed."""
+        rng = np.random.default_rng(10 * t + d)
+        obs = ObservationSet(rng.random((t, d)), rng.normal(size=t))
+        scored = {}
+        factor = _KernelCache.factor
+
+        def recording_factor(self, amplitude, lengthscales, noise):
+            L, jitter = factor(self, amplitude, lengthscales, noise)
+            scored[(amplitude, lengthscales.tobytes(), noise)] = (L.tobytes(), jitter)
+            return L, jitter
+
+        monkeypatch.setattr(_KernelCache, "factor", recording_factor)
+        samples = slice_sample_hypers(obs, 3, np.random.default_rng(t + d), burn_in=2, thin=1)
+        monkeypatch.undo()
+        state = fit(obs, samples)
+        for s, h in enumerate(samples):
+            want = scored[(h.amplitude, h.lengthscales.tobytes(), h.noise)]
+            assert (state.chols[s].tobytes(), state.jitters[s]) == want
 
     def test_prior_support_is_closed(self):
         rng = np.random.default_rng(43)
