@@ -438,7 +438,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     ]
     for seed_config in configs:
         _check_output_dir("config field 'output_dir'", seed_config.output_dir)
-    jobs = min(args.jobs or os.cpu_count() or 1, len(seeds))
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(args.jobs or usable or 1, len(seeds))
     rows: list[tuple[str, str, str, float]] = []
     if jobs == 1:
         for seed_config in configs:
@@ -489,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes, at least 1 (default: one per CPU); never more than seeds",
+        help="worker processes, at least 1 (default: one per usable CPU); never more than seeds",
     )
     p_batch.set_defaults(func=cmd_batch)
     return parser

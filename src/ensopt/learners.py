@@ -126,7 +126,8 @@ def check_space(space: SearchSpace, algorithms: Sequence[str]) -> SearchSpace:
     With several algorithms a categorical ``algorithm`` parameter must
     select among them; with one there must be none.  Every algorithm it, or
     the one configured, can select needs its ``PARAMS`` by name, in any
-    numeric range, and every other parameter must be one of theirs.
+    numeric range and integer where ``PARAMS`` says so, and every other
+    parameter must be one of theirs.
     """
     selectable = algos = check_algorithms(algorithms)
     if len(algos) > 1:
@@ -143,10 +144,12 @@ def check_space(space: SearchSpace, algorithms: Sequence[str]) -> SearchSpace:
     missing = [(a, p.name) for a in selectable for p in PARAMS[a] if p.name not in space.names]
     if missing:
         raise ValueError("algorithm %r requires parameter %r, which the space lacks" % missing[0])
-    read = {p.name for a in selectable for p in PARAMS[a]}
+    read = {p.name: p.kind for a in selectable for p in PARAMS[a]}
     for spec in space.params:
         if spec.name in read and spec.kind == "categorical":
             raise ValueError(f"parameter {spec.name!r} needs a numeric kind, not categorical")
+        if read.get(spec.name) == "integer" and spec.kind != "integer":
+            raise ValueError(f"parameter {spec.name!r} needs kind 'integer', not {spec.kind!r}")
         if spec.name not in read and spec.name != "algorithm":
             raise ValueError(f"parameter {spec.name!r} is read by no selectable algorithm")
     return space

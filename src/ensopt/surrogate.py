@@ -113,7 +113,7 @@ class ObservationSet:
 def _sq_diffs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared coordinate differences between the rows of A and B, ``(a, b, d)``."""
     diffs = A[:, None, :] - B[None, :, :]
-    return diffs * diffs
+    return np.multiply(diffs, diffs, out=diffs)
 
 
 def _matern_shape(r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -285,6 +285,15 @@ class TestRunCommand:
              "one algorithm ('knn') needs no 'algorithm' parameter"),
             (["knn"], [{"name": "n_neighbors", "kind": "categorical", "categories": ["few", "many"]}],
              "parameter 'n_neighbors' needs a numeric kind, not categorical"),
+            (["knn"], [{"name": "n_neighbors", "kind": "continuous", "lower": 1, "upper": 9}],
+             "parameter 'n_neighbors' needs kind 'integer', not 'continuous'"),
+            (["knn", "tree"],
+             [{"name": "algorithm", "kind": "categorical", "categories": ["knn", "tree"]},
+              {"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 9},
+              {"name": "max_depth", "kind": "integer", "lower": 1, "upper": 5},
+              {"name": "min_samples_split", "kind": "integer", "lower": 2, "upper": 9},
+              {"name": "min_samples_leaf", "kind": "log-continuous", "lower": 2, "upper": 9}],
+             "parameter 'min_samples_leaf' needs kind 'integer', not 'log-continuous'"),
         ],
         ids=[
             "renamed-param",
@@ -297,6 +306,8 @@ class TestRunCommand:
             "unread-param",
             "selector-for-one-algorithm",
             "categorical-learner-param",
+            "continuous-integer-param",
+            "log-continuous-integer-param",
         ],
     )
     def test_space_mismatch_fails_before_data(
@@ -718,7 +729,9 @@ class TestBatchCommand:
         assert not os.path.exists(doc["output_dir"])
         assert not os.path.exists(tmp_path / "missing")
 
-    def test_jobs_capped_at_seed_count(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def inline_pool(monkeypatch) -> list[int]:
+        """Make ``batch`` run its seeds in this process; returns the pool sizes it asks for."""
         recorded = []
 
         class InlinePool:
@@ -739,6 +752,10 @@ class TestBatchCommand:
                 return fut
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        return recorded
+
+    def test_jobs_capped_at_seed_count(self, tmp_path, capsys, monkeypatch):
+        recorded = self.inline_pool(monkeypatch)
         cfg, _ = base_config(
             tmp_path, budget=3, init=3, output_dir=str(tmp_path / "runs")
         )
@@ -749,6 +766,22 @@ class TestBatchCommand:
         ]) == 0
         assert recorded == [2]
         assert "wrote 4 rows for 2 seeds" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity"])
+    def test_default_jobs_follow_usable_cpus(self, tmp_path, capsys, monkeypatch, affinity):
+        # two usable CPUs on a 64-CPU host: three seeds get two workers
+        recorded = self.inline_pool(monkeypatch)
+        if affinity:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cfg, _ = base_config(tmp_path, budget=3, init=3, output_dir=str(tmp_path / "runs"))
+        results = str(tmp_path / "results.csv")
+        assert cli.main(["batch", "--config", cfg, "--seeds", "1..3", "--results", results]) == 0
+        assert recorded == [2]
+        assert "wrote 6 rows for 3 seeds" in capsys.readouterr().out
 
     def test_bad_seed_spec_is_usage_error(self, tmp_path, capsys):
         cfg, _ = base_config(tmp_path)

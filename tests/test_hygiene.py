@@ -3,6 +3,8 @@
 import ast
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -164,3 +166,18 @@ def test_no_unreferenced_public_definitions():
     with open(README, "r", encoding="utf-8") as fh:
         readme = fh.read()
     assert unreferenced_public_definitions(sources, readme) == []
+
+
+def test_package_loads_no_scipy_stats():
+    """Only ``compare`` ranks, and ``scipy.stats`` would cost every process about 38 MB."""
+    src = os.path.abspath(os.path.dirname(PACKAGE))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, ensopt, ensopt.cli, ensopt.stats; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

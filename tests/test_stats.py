@@ -11,6 +11,7 @@ from scipy import stats as scipy_stats
 from ensopt.stats import (
     ResultTable,
     _exact_two_sided,
+    _mid_ranks,
     compare,
     friedman_from_ranks,
     nemenyi_cd,
@@ -243,6 +244,21 @@ class TestFriedman:
         res = compare(table_of(errors))
         assert res.friedman == friedman_from_ranks(res.mean_ranks, errors.shape[1])
 
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_p_equals_chi2_tail_bitwise(self, k):
+        # df = k - 1 runs 2..9; equal ranks give a statistic of exactly 0, and
+        # ranks summing below k(k + 1)/2 one under 0, where chi2.sf is 1
+        rng = np.random.default_rng(k)
+        cases = [
+            (rng.permuted(np.tile(np.arange(1.0, k + 1), (n, 1)), axis=1).mean(axis=0), n)
+            for n in (2, 7, 30)
+        ]
+        cases += [(np.full(k, (k + 1) / 2), 5), (np.ones(k), 5)]
+        for ranks, n in cases:
+            stat, p = friedman_from_ranks(ranks, n)
+            assert p.hex() == float(scipy_stats.chi2.sf(stat, k - 1)).hex()
+        assert friedman_from_ranks(np.full(k, (k + 1) / 2), 5) == (0.0, 1.0)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             friedman_from_ranks([1.5, 1.5], 10)
@@ -342,6 +358,26 @@ class TestCompare:
         # mean ranks: a = (1+1+2)/3, b = (2+2+1)/3
         assert report.mean_ranks[0] < report.mean_ranks[1]
         assert report.row_worse[1, 0]
+
+
+class TestMidRanks:
+    @pytest.mark.parametrize(
+        "values",
+        [[0.3], [0.5, 0.5, 0.5, 0.5], [0.2, 0.1, 0.2, 0.4, 0.1, 0.2, 0.0]],
+        ids=["one", "all-equal", "ties"],
+    )
+    def test_vector_equals_scipy_bitwise(self, values):
+        x = np.array(values)
+        assert _mid_ranks(x).tobytes() == scipy_stats.rankdata(x, axis=0).tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 5), (1, 4), (6, 4, 3), (9, 1, 2)])
+    def test_tables_equal_scipy_along_axis_0_bitwise(self, shape):
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        for levels in (2, 5, 1000):  # few levels force ties in most columns
+            x = rng.integers(0, levels, size=shape) / levels
+            got, expected = _mid_ranks(x), scipy_stats.rankdata(x, axis=0)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestRepetitionRanks:
