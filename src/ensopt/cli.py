@@ -56,6 +56,24 @@ class UsageError(Exception):
     pass
 
 
+# the failures ``main`` reports without a traceback: prefix and exit code of each
+_FAILURES = (
+    (UsageError, "error", EXIT_USAGE),
+    (DataError, "data error", EXIT_DATA),
+    (NumericalError, "numerical error", EXIT_NUMERICAL),
+)
+_HANDLED = tuple(kind for kind, _, _ in _FAILURES)
+
+
+def _describe(exc: Exception) -> str:
+    prefix = next((p for kind, p, _ in _FAILURES if isinstance(exc, kind)), type(exc).__name__)
+    return f"{prefix}: {exc}"
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for kind, _, code in _FAILURES if isinstance(exc, kind))
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -441,24 +459,43 @@ def cmd_batch(args: argparse.Namespace) -> int:
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(args.jobs or usable or 1, len(seeds))
     rows: list[tuple[str, str, str, float]] = []
+    failures: dict[int, Exception] = {}
     if jobs == 1:
         for seed_config in configs:
-            rows.extend(_batch_worker(seed_config))
+            try:
+                rows.extend(_batch_worker(seed_config))
+            except Exception as exc:
+                failures[seed_config.seed] = exc
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_batch_worker, c) for c in configs]
+            futures = {pool.submit(_batch_worker, c): c.seed for c in configs}
             for fut in concurrent.futures.as_completed(futures):
-                rows.extend(fut.result())
+                try:
+                    rows.extend(fut.result())
+                except Exception as exc:
+                    failures[futures[fut]] = exc
+    # the finished seeds' rows are kept whatever happened to the others
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
-    exists = os.path.exists(args.results)
-    with open(args.results, "a", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if not exists:
-            writer.writerow(["method", "dataset", "repetition", "error"])
-        for method, dataset, rep, error in rows:
-            writer.writerow([method, dataset, rep, f"{error:.6f}"])
-    print(f"wrote {len(rows)} rows for {len(seeds)} seeds to {args.results}")
-    return EXIT_OK
+    if rows:
+        exists = os.path.exists(args.results)
+        with open(args.results, "a", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            if not exists:
+                writer.writerow(["method", "dataset", "repetition", "error"])
+            for method, dataset, rep, error in rows:
+                writer.writerow([method, dataset, rep, f"{error:.6f}"])
+    if not failures:
+        print(f"wrote {len(rows)} rows for {len(seeds)} seeds to {args.results}")
+        return EXIT_OK
+    done = len(seeds) - len(failures)
+    print(f"wrote {len(rows)} rows for {done} of {len(seeds)} seeds to {args.results}")
+    failed = [s for s in seeds if s in failures]
+    for seed in failed:
+        print(f"seed {seed} failed: {_describe(failures[seed])}", file=sys.stderr)
+    first = failures[failed[0]]
+    if not isinstance(first, _HANDLED):
+        raise first
+    return _exit_code(first)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,15 +538,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except _HANDLED as exc:
+        print(_describe(exc), file=sys.stderr)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ model's one-hot votes into ``n_labels`` rows of ``ceil(N/64)`` 64-bit words.
 A scoring step packs the members' miss table in the same layout (bit
 ``(c, i)``: one more vote for label ``c`` leaves sample ``i`` misclassified),
 ANDs it with each candidate's packed votes and counts the set bits.  A step
-therefore reads pool·n_labels·N bits instead of gathering pool·N 64-bit codes.
+therefore reads pool·n_labels·N bits instead of gathering pool·N label codes.
 """
 
 from __future__ import annotations
@@ -30,16 +30,47 @@ import numpy as np
 LOSSES = ("zero_one", "margin", "squared_margin")
 
 
+def code_dtype(n_labels: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds the codes ``0 .. n_labels - 1``."""
+    return np.min_scalar_type(max(n_labels - 1, 0))
+
+
+def as_codes(values: np.ndarray, n_labels: int, what: str) -> np.ndarray:
+    """Integer ``values`` as read-only codes of :func:`code_dtype`.
+
+    ``ValueError`` for a non-integer dtype (floats are not truncated) and for
+    a value outside ``[0, n_labels)``, checked before narrowing, so 256 never
+    wraps to 0 nor -1 to 255.  Values already of the code dtype are not
+    copied: they come back as themselves if read-only, else as a read-only
+    view.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+    if values.size and (
+        (values.dtype.kind == "i" and values.min() < 0) or values.max() >= n_labels
+    ):
+        raise ValueError(f"{what} outside the label set")
+    codes = values.astype(code_dtype(n_labels), copy=False)
+    if codes.flags.writeable:
+        if codes is values:
+            codes = codes.view()
+        codes.flags.writeable = False
+    return codes
+
+
 class PredictionMatrix:
     """Per-model prediction rows plus the true labels of the split.
 
     ``rows[m, i]`` is model ``m``'s predicted label for sample ``i``; labels
-    are integer codes in ``[0, n_labels)``.
+    are integer codes in ``[0, n_labels)``.  Both are kept read-only in
+    :func:`code_dtype` (``uint8`` up to 256 labels), so the packed one-hot
+    votes, built once, always describe the rows.
     """
 
     def __init__(self, rows: np.ndarray, labels: np.ndarray, n_labels: int):
-        rows = np.asarray(rows, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
+        rows = np.asarray(rows)
+        labels = np.asarray(labels)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-d array")
         if rows.shape[0] < 1:
@@ -48,12 +79,8 @@ class PredictionMatrix:
             raise ValueError("labels must match the number of columns")
         if n_labels < 1:
             raise ValueError("n_labels must be positive")
-        if rows.size and (rows.min() < 0 or rows.max() >= n_labels):
-            raise ValueError("prediction values outside the label set")
-        if labels.size and (labels.min() < 0 or labels.max() >= n_labels):
-            raise ValueError("label values outside the label set")
-        self.rows = rows
-        self.labels = labels
+        self.rows = as_codes(rows, n_labels, "prediction values")
+        self.labels = as_codes(labels, n_labels, "label values")
         self.n_labels = n_labels
         self._onehot: np.ndarray | None = None
 
@@ -72,7 +99,7 @@ class PredictionMatrix:
         """
         if self._onehot is None:
             bits = _bit_rows(self.n_models, self.n_labels, n=self.n_samples)
-            codes = np.arange(self.n_labels)[:, None]
+            codes = np.arange(self.n_labels, dtype=self.rows.dtype)[:, None]
             np.equal(self.rows[:, None, :], codes, out=bits[..., : self.n_samples])
             self._onehot = _pack_words(bits)
         return self._onehot

@@ -23,6 +23,8 @@ from .ensemble import (
     LOSSES,
     Ensemble,
     PredictionMatrix,
+    as_codes,
+    code_dtype,
     greedy_select,
     observation_vector,
     round_robin_replace,
@@ -44,27 +46,91 @@ class SearchSettings:
     refinements: int = 20
 
 
-class History:
-    """Insertion-ordered pool of every model trained during a run, one list per field.
+class _SplitRows:
+    """One split's labels and prediction rows, stacked once per pool state.
 
-    Model ``i`` is entry ``i`` of ``configs``, ``points``, ``val_rows``,
-    ``test_rows``, ``val_losses`` and ``degenerate``; ``extend`` is the only
-    writer of these columns.
+    ``add`` keeps each block of rows as given.  ``rows`` checks and narrows
+    the blocks added since the last stack in one pass (:func:`as_codes`),
+    appends them to the read-only stack and drops them; ``matrix`` builds
+    the split's :class:`PredictionMatrix` on the stack once per pool state.
+    """
+
+    def __init__(self, labels: np.ndarray, n_labels: int):
+        self.n_labels = n_labels
+        self.labels = as_codes(labels, n_labels, "label values")
+        self._stack = np.empty((0, self.labels.size), dtype=code_dtype(n_labels))
+        self._stack.flags.writeable = False
+        self._pending: list[np.ndarray] = []
+        self._matrix: PredictionMatrix | None = None
+
+    def add(self, block: np.ndarray) -> None:
+        self._pending.append(block)
+        self._matrix = None
+
+    def rows(self) -> np.ndarray:
+        if self._pending:
+            blocks = self._pending
+            # one check and one narrowing per stack, whatever the number of blocks
+            wide = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, dtype=np.int64)
+            new = as_codes(wide, self.n_labels, "prediction values")
+            if len(self._stack):
+                new = np.concatenate((self._stack, new))
+                new.flags.writeable = False
+            self._stack = new
+            self._pending = []
+        return self._stack
+
+    def matrix(self) -> PredictionMatrix:
+        if self._matrix is None:
+            self._matrix = PredictionMatrix(self.rows(), self.labels, self.n_labels)
+        return self._matrix
+
+
+class History:
+    """Insertion-ordered pool of every model trained during a run, one column per field.
+
+    Model ``i`` is entry ``i`` of ``configs``, ``points``, ``val_losses`` and
+    ``degenerate`` and row ``i`` of ``val_rows`` and ``test_rows``;
+    ``extend`` is the only writer of these columns.  Labels and prediction
+    rows are kept as read-only codes of :func:`code_dtype` (``uint8`` up to
+    256 labels).  ``extend`` keeps the rows it is given uncopied; they are
+    range-checked, narrowed and stacked on the next read, once for all
+    models added since the previous one, and ``val_matrix``/``test_matrix``
+    return the same :class:`PredictionMatrix` until the next ``extend``.
     """
 
     def __init__(self, labels_val: np.ndarray, labels_test: np.ndarray, n_labels: int):
-        self.labels_val = np.asarray(labels_val, dtype=np.int64)
-        self.labels_test = np.asarray(labels_test, dtype=np.int64)
         self.n_labels = int(n_labels)
+        # losses compare rows with the labels as given, whose dtype the
+        # evaluator's rows usually share; a mixed-dtype comparison is slower
+        self._loss_labels = np.asarray(labels_val)
+        self._val = _SplitRows(self._loss_labels, self.n_labels)
+        self._test = _SplitRows(labels_test, self.n_labels)
         self.configs: list[Config] = []
         self.points: list[np.ndarray] = []
-        self.val_rows: list[np.ndarray] = []
-        self.test_rows: list[np.ndarray] = []
         self.val_losses: list[float] = []
         self.degenerate: list[bool] = []
 
     def __len__(self) -> int:
         return len(self.configs)
+
+    @property
+    def labels_val(self) -> np.ndarray:
+        return self._val.labels
+
+    @property
+    def labels_test(self) -> np.ndarray:
+        return self._test.labels
+
+    @property
+    def val_rows(self) -> np.ndarray:
+        """``(len(self), n_val)`` read-only validation codes."""
+        return self._val.rows()
+
+    @property
+    def test_rows(self) -> np.ndarray:
+        """``(len(self), n_test)`` read-only test codes."""
+        return self._test.rows()
 
     def append(
         self,
@@ -74,9 +140,8 @@ class History:
         test_row: np.ndarray,
         degenerate: bool = False,
     ) -> None:
-        # one-row views, so the columns keep the caller's int64 rows uncopied
-        val_rows = np.asarray(val_row, dtype=np.int64)[None]
-        test_rows = np.asarray(test_row, dtype=np.int64)[None]
+        val_rows = np.asarray(val_row)[None]
+        test_rows = np.asarray(test_row)[None]
         self.extend([config], [point], val_rows, test_rows, [degenerate])
 
     def extend(
@@ -87,12 +152,20 @@ class History:
         test_rows: Sequence[np.ndarray] | np.ndarray,
         degenerate: Sequence[bool],
     ) -> None:
-        """Add one model per config, in the order given."""
+        """Add one model per config, in the order given.
+
+        ``ValueError`` for rows of a non-integer dtype or the wrong shape;
+        codes outside ``[0, n_labels)`` raise on the next read of the rows.
+        """
         m = len(configs)
         if m == 0:
             return
-        val_rows = np.asarray(val_rows, dtype=np.int64)
-        test_rows = np.asarray(test_rows, dtype=np.int64)
+        val_rows = np.asarray(val_rows)
+        test_rows = np.asarray(test_rows)
+        if val_rows.dtype.kind not in "iu" or test_rows.dtype.kind not in "iu":
+            raise ValueError(
+                f"prediction values must be integers, got {val_rows.dtype} and {test_rows.dtype}"
+            )
         if val_rows.shape != (m, *self.labels_val.shape):
             raise ValueError("validation row shape mismatch")
         if test_rows.shape != (m, *self.labels_test.shape):
@@ -101,19 +174,19 @@ class History:
         if len(points) != m or len(degenerate) != m:
             raise ValueError("configs, points and degenerate flags differ in length")
         # counting 0/1 mismatches is exact, so this equals the per-row mean
-        losses = np.count_nonzero(val_rows != self.labels_val, axis=1) / self.labels_val.size
+        losses = np.count_nonzero(val_rows != self._loss_labels, axis=1) / self.labels_val.size
         self.configs.extend(configs)
         self.points.extend(points)
-        self.val_rows.extend(val_rows)
-        self.test_rows.extend(test_rows)
+        self._val.add(val_rows)
+        self._test.add(test_rows)
         self.val_losses.extend(losses.tolist())
         self.degenerate.extend(bool(flag) for flag in degenerate)
 
     def val_matrix(self) -> PredictionMatrix:
-        return PredictionMatrix(np.array(self.val_rows), self.labels_val, self.n_labels)
+        return self._val.matrix()
 
     def test_matrix(self) -> PredictionMatrix:
-        return PredictionMatrix(np.array(self.test_rows), self.labels_test, self.n_labels)
+        return self._test.matrix()
 
 
 class Evaluator(Protocol):

@@ -8,8 +8,10 @@ import pytest
 
 from ensopt import cli
 from ensopt.artifact import load_artifact
+from ensopt.data import DataError
 from ensopt.ensemble import zero_one_ensemble_loss
 from ensopt.optimizer import post_hoc
+from ensopt.surrogate import NumericalError
 
 TOY_CSV = os.path.join(os.path.dirname(__file__), "data", "toy.csv")
 
@@ -748,7 +750,10 @@ class TestBatchCommand:
 
             def submit(self, fn, *args):
                 fut = cli.concurrent.futures.Future()
-                fut.set_result(fn(*args))
+                try:
+                    fut.set_result(fn(*args))
+                except Exception as exc:  # a worker's exception reaches ``result()``
+                    fut.set_exception(exc)
                 return fut
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
@@ -782,6 +787,54 @@ class TestBatchCommand:
         assert cli.main(["batch", "--config", cfg, "--seeds", "1..3", "--results", results]) == 0
         assert recorded == [2]
         assert "wrote 6 rows for 3 seeds" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "error, code",
+        [(DataError("no rows"), 2), (NumericalError("not positive definite"), 3)],
+        ids=["data", "numerical"],
+    )
+    def test_failed_seed_keeps_finished_rows(self, tmp_path, capsys, monkeypatch, jobs, error, code):
+        # seeds 4 and 2 fail; the rows of 3 and 1 are written, and the exit
+        # code is that of seed 4, the first failed seed in the order given
+        self.inline_pool(monkeypatch)
+
+        def worker(config):
+            if config.seed == 2:
+                raise DataError("seed 2 broke")
+            if config.seed == 4:
+                raise error
+            return [("bo-best", "toy", str(config.seed), config.seed / 10)]
+
+        monkeypatch.setattr(cli, "_batch_worker", worker)
+        cfg, _ = base_config(tmp_path, output_dir=str(tmp_path / "runs"))
+        results = tmp_path / "results.csv"
+        argv = ["batch", "--config", cfg, "--seeds", "4,3,2,1", "--results", str(results)]
+        assert cli.main(argv + ["--jobs", jobs]) == code
+        assert results.read_text(encoding="utf-8").splitlines() == [
+            "method,dataset,repetition,error",
+            "bo-best,toy,1,0.100000",
+            "bo-best,toy,3,0.300000",
+        ]
+        out, err = capsys.readouterr()
+        assert "wrote 2 rows for 2 of 4 seeds" in out
+        assert "seed 2 failed: data error: seed 2 broke" in err
+        assert "seed 4 failed: " in err and str(error) in err
+
+    def test_unexpected_seed_failure_still_raises(self, tmp_path, capsys, monkeypatch):
+        def worker(config):
+            if config.seed == 1:
+                raise TypeError("a programming error")
+            return [("bo-best", "toy", str(config.seed), 0.5)]
+
+        monkeypatch.setattr(cli, "_batch_worker", worker)
+        cfg, _ = base_config(tmp_path, output_dir=str(tmp_path / "runs"))
+        results = tmp_path / "results.csv"
+        argv = ["batch", "--config", cfg, "--seeds", "1,2", "--results", str(results)]
+        with pytest.raises(TypeError, match="programming error"):
+            cli.main(argv + ["--jobs", "1"])
+        assert results.read_text(encoding="utf-8").splitlines()[1:] == ["bo-best,toy,2,0.500000"]
+        assert "seed 1 failed: TypeError: a programming error" in capsys.readouterr().err
 
     def test_bad_seed_spec_is_usage_error(self, tmp_path, capsys):
         cfg, _ = base_config(tmp_path)

@@ -555,3 +555,53 @@ class TestPredictionMatrixValidation:
             PredictionMatrix(np.array([[0, 1]]), np.array([0]), 2)
         with pytest.raises(ValueError):
             PredictionMatrix(np.zeros((0, 3), dtype=int), np.array([0, 0, 0]), 2)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.9, 1.7, 2.2]], [[0.0, 1.0, 2.0]], [[True, False, True]]],
+        ids=["fractional", "whole-floats", "bool"],
+    )
+    def test_rejects_non_integer_rows(self, rows):
+        # a float row is not truncated to [0, 1, 2], whatever its values
+        with pytest.raises(ValueError, match="integers"):
+            PredictionMatrix(np.array(rows), np.array([0, 1, 2]), 3)
+        with pytest.raises(ValueError, match="integers"):
+            PredictionMatrix(np.array([[0, 1, 2]]), np.array(rows[0]), 3)
+
+    @pytest.mark.parametrize(
+        "code, dtype",
+        [
+            (256, np.int64),
+            (-1, np.int64),
+            (3, np.int64),
+            (2**63 - 1, np.int64),
+            (256, np.int16),
+            (-1, np.int8),
+            (2**64 - 1, np.uint64),
+        ],
+    )
+    def test_rejects_codes_that_narrowing_would_wrap(self, code, dtype):
+        # 256 must not wrap to 0 in uint8, nor -1 become 255
+        rows = np.array([[0, code, 1]], dtype=dtype)
+        with pytest.raises(ValueError, match="outside the label set"):
+            PredictionMatrix(rows, np.array([0, 1, 2]), 3)
+        with pytest.raises(ValueError, match="outside the label set"):
+            PredictionMatrix(np.array([[0, 1, 2]]), rows[0], 3)
+
+    @pytest.mark.parametrize(
+        "n_labels, dtype", [(1, np.uint8), (3, np.uint8), (256, np.uint8), (257, np.uint16)]
+    )
+    def test_codes_are_narrow_and_read_only(self, n_labels, dtype):
+        rows = np.array([[0, n_labels - 1], [n_labels - 1, 0]], dtype=np.int64)
+        preds = PredictionMatrix(rows, np.array([0, n_labels - 1]), n_labels)
+        assert preds.rows.dtype == preds.labels.dtype == dtype
+        np.testing.assert_array_equal(preds.rows, rows)
+        for array in (preds.rows, preds.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_narrow_rows_are_not_copied(self):
+        rows = np.array([[0, 2, 1]], dtype=np.uint8)
+        preds = PredictionMatrix(rows, np.array([0, 1, 2]), 3)
+        assert np.shares_memory(preds.rows, rows)
+        assert rows.flags.writeable  # only the matrix's view is read-only

@@ -21,9 +21,10 @@ from ensopt.artifact import (
     save_artifact,
 )
 from ensopt.ensemble import greedy_select, zero_one_ensemble_loss
-from ensopt.hyperspace import ParamSpec, SearchSpace
+from ensopt.hyperspace import Config, ParamSpec, SearchSpace
 from ensopt.optimizer import (
     History,
+    RunArtifact,
     SearchSettings,
     digest_vector,
     evaluate_on_test,
@@ -65,6 +66,10 @@ def codec_matrices() -> dict[str, np.ndarray]:
 
 
 CODEC_MATRICES = codec_matrices()
+# matrices written as one-digit files, which the reader returns as uint8
+ONE_DIGIT_CASES = sorted(
+    c for c in CODEC_MATRICES if "-digits-" in c or c in ("all_digits", "labels_1d")
+)
 # text files the byte grid must leave to np.loadtxt, with its result or error
 FALLBACK_TEXTS = {
     "crlf": "1,2\r\n",
@@ -83,6 +88,11 @@ FALLBACK_TEXTS = {
     "minus": "-1,2\n",
     "empty": "",
     "blank": "\n",
+    # one byte off a one-digit grid: a separator, or a digit just outside '0'-'9'
+    "dot_separator": "1.2\n",
+    "below_zero": "1,/\n",
+    "above_nine": ":,2\n",
+    "nul_digit": "1,\x00\n",
 }
 
 
@@ -94,12 +104,13 @@ def read_outcome(read, path):
         return type(exc)
 
 
-def assert_same_outcome(got, want):
+def assert_same_outcome(got, want, dtype=None):
+    """Same exception type, or equal arrays of ``dtype`` (by default ``want``'s)."""
     if isinstance(want, type):
         assert got is want
     else:
         assert isinstance(got, np.ndarray)
-        assert got.dtype == want.dtype
+        assert got.dtype == (want.dtype if dtype is None else dtype)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
@@ -476,16 +487,96 @@ class TestHistoryExtend:
         assert all(type(x) is float for x in one.val_losses + many.val_losses)
         assert all(type(x) is bool for x in one.degenerate + many.degenerate)
 
-    def test_append_keeps_the_callers_rows(self):
-        # a pool built one append at a time must not hold a second copy of its rows
+    def test_appended_rows_read_back_as_narrow_read_only_codes(self):
         val_rows = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int64)
         test_rows = np.array([[0], [1]], dtype=np.int64)
         history = History(np.array([0, 1, 1]), np.array([0]), 2)
         for val, test in zip(val_rows, test_rows):
             history.append(None, np.array([0.5]), val, test)
-        for got, given in zip(history.val_rows + history.test_rows, [*val_rows, *test_rows]):
-            assert np.shares_memory(got, given)
+        for got, given in ((history.val_rows, val_rows), (history.test_rows, test_rows)):
+            assert got.dtype == np.uint8 and not got.flags.writeable
             np.testing.assert_array_equal(got, given)
+        assert history.labels_val.dtype == history.labels_test.dtype == np.uint8
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_non_integer_rows_rejected(self, split):
+        # a float row is not truncated into a plausible model with val_loss 0
+        history = History(np.array([0, 1, 2]), np.array([1]), 3)
+        rows = {"val": np.array([0.9, 1.7, 2.2]), "test": np.array([1.0])}
+        val, test = (rows["val"], [1]) if split == "val" else ([0, 1, 2], rows["test"])
+        with pytest.raises(ValueError, match="integers"):
+            history.append(None, np.array([0.5]), val, test)
+        with pytest.raises(ValueError, match="integers"):
+            history.extend([None], [[0.5]], np.array(val)[None], np.array(test)[None], [False])
+        assert len(history) == 0 and history.val_losses == []
+
+    @pytest.mark.parametrize("code", [256, -1, 3])
+    def test_codes_outside_the_label_set_raise_on_read(self, code):
+        # checked on the wide rows, before narrowing: 256 is not read as 0, -1 not as 255
+        history = History(np.array([0, 1, 2]), np.array([1]), 3)
+        history.append(None, np.array([0.5]), np.array([0, 1, 2]), np.array([1]))
+        history.append(None, np.array([0.5]), np.array([0, code, 2]), np.array([1]))
+        for read in (lambda: history.val_rows, history.val_matrix):
+            with pytest.raises(ValueError, match="outside the label set"):
+                read()
+        np.testing.assert_array_equal(history.test_rows, [[1], [1]])
+        with pytest.raises(ValueError, match="outside the label set"):
+            History(np.array([0, code]), np.array([1]), 3)
+
+    def test_matrix_is_built_once_per_pool_state(self):
+        history = History(np.array([0, 1, 1]), np.array([0]), 2)
+        history.append(None, np.array([0.5]), np.array([0, 1, 0]), np.array([0]))
+        first = history.val_matrix()
+        assert history.val_matrix() is first
+        assert history.test_matrix() is history.test_matrix()
+        assert first.rows is history.val_rows
+        history.append(None, np.array([0.5]), np.array([1, 1, 1]), np.array([1]))
+        second = history.val_matrix()
+        assert second is not first
+        np.testing.assert_array_equal(second.rows, [[0, 1, 0], [1, 1, 1]])
+        np.testing.assert_array_equal(first.rows, [[0, 1, 0]])
+        for matrix in (first, second, history.test_matrix()):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.rows[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            history.val_rows[0, 0] = 1
+
+    def test_extend_blocks_stack_in_order(self):
+        # rows added by several extends before one read come back as one matrix
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 4, size=6)
+        sizes = ((2, np.int64), (1, np.uint8), (3, np.int32))
+        blocks = [rng.integers(0, 4, size=(m, 6)).astype(dtype) for m, dtype in sizes]
+        history = History(labels, np.array([0]), 4)
+        for block in blocks:
+            m = len(block)
+            tests = np.zeros((m, 1), dtype=int)
+            history.extend([None] * m, [[0.5]] * m, block, tests, [False] * m)
+        rows = history.val_rows
+        assert rows.dtype == np.uint8
+        np.testing.assert_array_equal(rows, np.concatenate(blocks))
+        history.extend([None], [[0.5]], blocks[1], np.zeros((1, 1), dtype=int), [False])
+        np.testing.assert_array_equal(history.val_rows, np.concatenate(blocks + blocks[1:2]))
+
+    def test_300_labels_keep_uint16_codes_through_the_text_codec(self, tmp_path):
+        rng = np.random.default_rng(300)
+        labels_val, labels_test = rng.integers(0, 300, size=20), rng.integers(0, 300, size=4)
+        history = History(labels_val, labels_test, 300)
+        val = rng.integers(0, 300, size=(5, 20))
+        val[0, 0] = 299
+        for row, test in zip(val, rng.integers(0, 300, size=(5, 4))):
+            history.append(Config({"u": 0.5}), np.array([0.5]), row, test)
+        assert history.val_rows.dtype == history.labels_val.dtype == np.uint16
+        artifact = RunArtifact("bo", 5, 5, 0, "zero_one", UNIT.to_dict(), 300)
+        save_artifact(str(tmp_path / "run"), artifact, history)
+        with open(tmp_path / "run" / artifact_io.VAL_PREDICTIONS_FILE, encoding="utf-8") as fh:
+            assert fh.readline().startswith("299,")
+        loaded = load_artifact(str(tmp_path / "run")).history
+        for column in ("val_rows", "test_rows", "labels_val", "labels_test"):
+            got, want = getattr(loaded, column), getattr(history, column)
+            assert got.dtype == np.uint16, column
+            np.testing.assert_array_equal(got, want)
+        assert loaded.val_losses == history.val_losses
 
     def test_extend_rejects_row_shape_mismatch(self):
         history = History(np.array([0, 1, 1]), np.array([0]), 2)
@@ -497,6 +588,17 @@ class TestHistoryExtend:
 
 
 class TestArtifactRoundTrip:
+    def test_empty_pool_round_trips(self, tmp_path):
+        # zero models write empty prediction files, which load back as zero rows
+        history = History(np.array([0, 1]), np.array([1]), 2)
+        artifact = RunArtifact("bo", 1, 1, 0, "zero_one", UNIT.to_dict(), 2)
+        save_artifact(str(tmp_path / "run"), artifact, history)
+        assert (tmp_path / "run" / artifact_io.VAL_PREDICTIONS_FILE).read_bytes() == b""
+        assert (tmp_path / "run" / artifact_io.CONFIGS_FILE).read_bytes() == b"[]\n"
+        loaded = load_artifact(str(tmp_path / "run")).history
+        assert len(loaded) == 0
+        np.testing.assert_array_equal(loaded.labels_val, [0, 1])
+
     def test_save_and_load_preserve_run(self, tmp_path):
         history, ensemble, artifact = run_eo(
             UNIT, PointHashStub(), 8, 2, init=4, seed=13, settings=FAST
@@ -564,21 +666,21 @@ class TestArtifactRoundTrip:
             )
 
     @pytest.mark.parametrize(
-        "rows, text",
+        "rows, text, dtype",
         [
-            (np.array([[0, 2, 1, 10]]), "0,2,1,10\n"),
-            (np.array([[3], [0], [12]]), "3\n0\n12\n"),
-            (np.array([[1, 0], [0, 1], [2, 2]]), "1,0\n0,1\n2,2\n"),
+            (np.array([[0, 2, 1, 10]]), "0,2,1,10\n", np.int64),
+            (np.array([[3], [0], [12]]), "3\n0\n12\n", np.int64),
+            (np.array([[1, 0], [0, 1], [2, 2]]), "1,0\n0,1\n2,2\n", np.uint8),
         ],
         ids=["one_row", "one_column", "matrix"],
     )
-    def test_int_rows_round_trip(self, tmp_path, rows, text):
+    def test_int_rows_round_trip(self, tmp_path, rows, text, dtype):
         path = str(tmp_path / "rows.csv")
         _write_int_rows(path, rows)
         with open(path, "r", encoding="utf-8") as fh:
             assert fh.read() == text
         back = _read_int_rows(path)
-        assert back.dtype == np.int64
+        assert back.dtype == dtype
         np.testing.assert_array_equal(back, rows)
 
     def test_one_dimensional_labels_written_as_one_row(self, tmp_path):
@@ -607,10 +709,13 @@ class TestArtifactRoundTrip:
 
     @pytest.mark.parametrize("case", sorted(CODEC_MATRICES))
     def test_reader_matches_text_codec_on_written_files(self, tmp_path, case):
+        # the same values; one-digit files come back as uint8
         path = str(tmp_path / "rows.csv")
         text_write_int_rows(path, CODEC_MATRICES[case])
         assert_same_outcome(
-            read_outcome(_read_int_rows, path), read_outcome(text_read_int_rows, path)
+            read_outcome(_read_int_rows, path),
+            read_outcome(text_read_int_rows, path),
+            np.uint8 if case in ONE_DIGIT_CASES else None,
         )
 
     @pytest.mark.parametrize("case", sorted(FALLBACK_TEXTS))
@@ -622,14 +727,12 @@ class TestArtifactRoundTrip:
             read_outcome(_read_int_rows, str(path)), read_outcome(text_read_int_rows, str(path))
         )
 
-    @pytest.mark.parametrize(
-        "case", sorted(c for c in CODEC_MATRICES if "-digits-" in c or c == "all_digits")
-    )
+    @pytest.mark.parametrize("case", ONE_DIGIT_CASES)
     def test_one_digit_files_take_the_byte_grid(self, tmp_path, case):
         path = tmp_path / "rows.csv"
         text_write_int_rows(str(path), CODEC_MATRICES[case])
         rows = _digit_rows(path.read_bytes())
-        assert rows is not None and rows.dtype == np.int64
+        assert rows is not None and rows.dtype == np.uint8
         np.testing.assert_array_equal(rows, np.atleast_2d(CODEC_MATRICES[case]))
 
     def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
