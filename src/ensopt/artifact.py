@@ -14,14 +14,15 @@ a fixed grid of (digit, separator) byte pairs; it is written and read as one
 buffer of 16-bit words and read back as ``uint8`` codes, and anything else
 takes the general text path (``int64``).  Saving writes the pool's stacked,
 read-only code matrices (``History.val_rows``/``test_rows``) as they are;
-loading checks the codes it read against ``[0, n_labels)`` without widening
-them and hands them to the rebuilt ``History`` uncopied.  ``configs.json``
-is joined by a direct writer whose bytes equal ``json.dumps(entries,
-indent=2, sort_keys=True)``, which would run the pure-Python encoder.
-Loading rejects a code outside ``[0, n_labels)``, and JSON documents of the
-wrong shape, with ``ValueError``.  Every file is written to a temporary name
-beside it and moved into place, so an interrupted save leaves either the
-previous file or the new one.
+loading hands the codes it read to the rebuilt ``History``, which checks
+them against ``[0, n_labels)`` without widening them and keeps its own
+copy.  ``configs.json`` is joined by a direct writer whose bytes equal
+``json.dumps(entries, indent=2, sort_keys=True)``, which would run the
+pure-Python encoder.  Loading rejects a code outside ``[0, n_labels)`` (the
+``History`` names the split and whether labels or predictions) and JSON
+documents of the wrong shape with ``ValueError``.  Every file is written
+to a temporary name beside it and moved into place, so an interrupted save
+leaves either the previous file or the new one.
 """
 
 from __future__ import annotations
@@ -252,14 +253,6 @@ def load_artifact(directory: str) -> LoadedRun:
     labels_test = _read_label_row(os.path.join(directory, TEST_LABELS_FILE))
     if val_rows.shape[0] != len(configs) or test_rows.shape[0] != len(configs):
         raise ValueError(f"{directory}: prediction rows do not match configs.json")
-    for name, codes in (
-        (VAL_PREDICTIONS_FILE, val_rows),
-        (TEST_PREDICTIONS_FILE, test_rows),
-        (VAL_LABELS_FILE, labels_val),
-        (TEST_LABELS_FILE, labels_test),
-    ):
-        if codes.size and (codes.min() < 0 or codes.max() >= n_labels):
-            raise ValueError(f"{directory}: {name} holds codes outside [0, {n_labels})")
     if [entry.get("id") for entry in configs] != list(range(len(configs))):
         raise ValueError(f"{directory}: non-contiguous model ids in configs.json")
     history = History(labels_val, labels_test, n_labels)

@@ -312,6 +312,8 @@ def cmd_post(args: argparse.Namespace) -> int:
         loaded = artifact_io.load_artifact(args.artifact)
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"cannot load artifact {args.artifact}: {exc}") from None
+    if len(loaded.history) == 0:
+        raise DataError(f"artifact {args.artifact} holds no models")
     if args.warm > len(loaded.history):
         raise UsageError("--warm exceeds the number of stored models")
     ensemble = post_hoc(loaded.history, args.size, args.warm)

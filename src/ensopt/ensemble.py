@@ -23,6 +23,7 @@ therefore reads pool·n_labels·N bits instead of gathering pool·N label codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 LOSSES = ("zero_one", "margin", "squared_margin")
 
 
+@cache  # called for every block that enters a History
 def code_dtype(n_labels: int) -> np.dtype:
     """The narrowest unsigned dtype that holds the codes ``0 .. n_labels - 1``."""
     return np.min_scalar_type(max(n_labels - 1, 0))
@@ -50,7 +52,7 @@ def as_codes(values: np.ndarray, n_labels: int, what: str) -> np.ndarray:
     if values.size and (
         (values.dtype.kind == "i" and values.min() < 0) or values.max() >= n_labels
     ):
-        raise ValueError(f"{what} outside the label set")
+        raise ValueError(f"{what} outside the label set [0, {n_labels})")
     codes = values.astype(code_dtype(n_labels), copy=False)
     if codes.flags.writeable:
         if codes is values:

@@ -47,21 +47,29 @@ class SearchSettings:
 
 
 class _SplitRows:
-    """One split's labels and prediction rows, stacked once per pool state.
+    """One split's labels and prediction rows, as read-only codes the pool owns.
 
-    ``add`` keeps each block of rows as given.  ``rows`` checks and narrows
-    the blocks added since the last stack in one pass (:func:`as_codes`),
-    appends them to the read-only stack and drops them; ``matrix`` builds
-    the split's :class:`PredictionMatrix` on the stack once per pool state.
+    ``codes`` range-checks and narrows a block (:func:`as_codes`) into an
+    array that shares no memory with the caller's; ``add`` queues such a
+    block, and ``rows`` stacks the queued blocks once per pool state.
+    ``matrix`` builds the split's :class:`PredictionMatrix` on the stack once
+    per pool state.
     """
 
-    def __init__(self, labels: np.ndarray, n_labels: int):
+    def __init__(self, labels: np.ndarray, n_labels: int, split: str):
         self.n_labels = n_labels
-        self.labels = as_codes(labels, n_labels, "label values")
-        self._stack = np.empty((0, self.labels.size), dtype=code_dtype(n_labels))
+        self.split = split
+        self.labels = self.codes(labels, "labels")
+        self._stack = np.empty((0, self.labels.size), dtype=self.labels.dtype)
         self._stack.flags.writeable = False
         self._pending: list[np.ndarray] = []
         self._matrix: PredictionMatrix | None = None
+
+    def codes(self, values: np.ndarray, kind: str = "predictions") -> np.ndarray:
+        values = np.asarray(values)
+        if values.dtype == code_dtype(self.n_labels):
+            values = values.copy()  # as_codes would keep the caller's array
+        return as_codes(values, self.n_labels, f"{self.split} {kind}")
 
     def add(self, block: np.ndarray) -> None:
         self._pending.append(block)
@@ -69,14 +77,9 @@ class _SplitRows:
 
     def rows(self) -> np.ndarray:
         if self._pending:
-            blocks = self._pending
-            # one check and one narrowing per stack, whatever the number of blocks
-            wide = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, dtype=np.int64)
-            new = as_codes(wide, self.n_labels, "prediction values")
-            if len(self._stack):
-                new = np.concatenate((self._stack, new))
-                new.flags.writeable = False
-            self._stack = new
+            blocks = [self._stack, *self._pending] if len(self._stack) else self._pending
+            self._stack = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            self._stack.flags.writeable = False
             self._pending = []
         return self._stack
 
@@ -93,19 +96,18 @@ class History:
     ``degenerate`` and row ``i`` of ``val_rows`` and ``test_rows``;
     ``extend`` is the only writer of these columns.  Labels and prediction
     rows are kept as read-only codes of :func:`code_dtype` (``uint8`` up to
-    256 labels).  ``extend`` keeps the rows it is given uncopied; they are
-    range-checked, narrowed and stacked on the next read, once for all
+    256 labels) that the pool owns: ``extend`` range-checks and narrows
+    (or copies) each split's block before it changes any column, so a
+    rejected block leaves the pool as it was and no caller can later write
+    to a stored row.  The rows are stacked on the next read, once for all
     models added since the previous one, and ``val_matrix``/``test_matrix``
     return the same :class:`PredictionMatrix` until the next ``extend``.
     """
 
     def __init__(self, labels_val: np.ndarray, labels_test: np.ndarray, n_labels: int):
         self.n_labels = int(n_labels)
-        # losses compare rows with the labels as given, whose dtype the
-        # evaluator's rows usually share; a mixed-dtype comparison is slower
-        self._loss_labels = np.asarray(labels_val)
-        self._val = _SplitRows(self._loss_labels, self.n_labels)
-        self._test = _SplitRows(labels_test, self.n_labels)
+        self._val = _SplitRows(labels_val, self.n_labels, "validation")
+        self._test = _SplitRows(labels_test, self.n_labels, "test")
         self.configs: list[Config] = []
         self.points: list[np.ndarray] = []
         self.val_losses: list[float] = []
@@ -154,33 +156,32 @@ class History:
     ) -> None:
         """Add one model per config, in the order given.
 
-        ``ValueError`` for rows of a non-integer dtype or the wrong shape;
-        codes outside ``[0, n_labels)`` raise on the next read of the rows.
+        ``ValueError`` for rows of the wrong shape or a non-integer dtype and
+        for codes outside ``[0, n_labels)``, raised before any column changes.
         """
         m = len(configs)
         if m == 0:
             return
         val_rows = np.asarray(val_rows)
         test_rows = np.asarray(test_rows)
-        if val_rows.dtype.kind not in "iu" or test_rows.dtype.kind not in "iu":
-            raise ValueError(
-                f"prediction values must be integers, got {val_rows.dtype} and {test_rows.dtype}"
-            )
         if val_rows.shape != (m, *self.labels_val.shape):
             raise ValueError("validation row shape mismatch")
         if test_rows.shape != (m, *self.labels_test.shape):
             raise ValueError("test row shape mismatch")
         points = np.array(points, dtype=float)
-        if len(points) != m or len(degenerate) != m:
+        flags = [bool(flag) for flag in degenerate]
+        if len(points) != m or len(flags) != m:
             raise ValueError("configs, points and degenerate flags differ in length")
+        val_codes = self._val.codes(val_rows)
+        test_codes = self._test.codes(test_rows)
         # counting 0/1 mismatches is exact, so this equals the per-row mean
-        losses = np.count_nonzero(val_rows != self._loss_labels, axis=1) / self.labels_val.size
+        losses = np.count_nonzero(val_codes != self.labels_val, axis=1) / self.labels_val.size
         self.configs.extend(configs)
         self.points.extend(points)
-        self._val.add(val_rows)
-        self._test.add(test_rows)
+        self._val.add(val_codes)
+        self._test.add(test_codes)
         self.val_losses.extend(losses.tolist())
-        self.degenerate.extend(bool(flag) for flag in degenerate)
+        self.degenerate.extend(flags)
 
     def val_matrix(self) -> PredictionMatrix:
         return self._val.matrix()

@@ -71,5 +71,29 @@ def test_summary_counts_wins_by_direction():
     assert summary["metrics"]["wall_s"]["change_wins"] == 1
     assert summary["metrics"]["models_per_s"]["change_wins"] == 1
     assert summary["metrics"]["wall_s"]["parent"]["median"] == 2.25
-    assert bench_record.parse_seeds("2..4") == [2, 3, 4]
-    assert bench_record.parse_seeds("1,7") == [1, 7]
+
+
+def test_seeds_take_the_cli_parser():
+    def seeds(text):
+        return bench_record.parse_args(["--parent", "HEAD", "--out", "x", "--seeds", text]).seeds
+
+    assert seeds("2..4") == [2, 3, 4]
+    assert seeds("1,7") == [1, 7]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("11..2", "end must be >= start"), ("3,3", "duplicate seeds"), ("-1", "non-negative")],
+)
+def test_bad_seeds_fail_before_the_parent_is_exported(tmp_path, monkeypatch, capsys, text, message):
+    # a backwards range once ran nothing and exited 0; a repeated seed ran twice
+    def export_commit(rev, dest):
+        raise AssertionError("the parent was exported")
+
+    monkeypatch.setattr(bench_record, "export_commit", export_commit)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as info:
+        bench_record.main(["--parent", "HEAD", "--out", str(out), "--seeds", text])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from ensopt import cli
-from ensopt.artifact import load_artifact
+from ensopt.artifact import load_artifact, save_artifact
 from ensopt.data import DataError
 from ensopt.ensemble import zero_one_ensemble_loss
-from ensopt.optimizer import post_hoc
+from ensopt.hyperspace import ParamSpec, SearchSpace
+from ensopt.optimizer import History, RunArtifact, post_hoc
 from ensopt.surrogate import NumericalError
 
 TOY_CSV = os.path.join(os.path.dirname(__file__), "data", "toy.csv")
@@ -474,8 +475,21 @@ class TestPostCommand:
             fh.write("7" + text[1:])
         assert cli.main(["post", "--artifact", doc["output_dir"], "--size", "3"]) == 2
         err = capsys.readouterr().err
-        assert "outside [0, 2)" in err
+        assert "outside the label set [0, 2)" in err
         assert "Traceback" not in err
+
+    def test_run_directory_without_models_is_data_error(self, tmp_path, capsys):
+        # save_artifact writes one for an empty pool; post once died in post_hoc
+        out = str(tmp_path / "empty")
+        space = SearchSpace((ParamSpec("u", "continuous", 0.0, 1.0),))
+        artifact = RunArtifact("bo", 1, 1, 0, "zero_one", space.to_dict(), 2)
+        save_artifact(out, artifact, History(np.array([0, 1]), np.array([1]), 2))
+        for warm in ("0", "3"):
+            code = cli.main(["post", "--artifact", out, "--size", "3", "--warm", warm])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"data error: artifact {out} holds no models" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "name, corrupt",

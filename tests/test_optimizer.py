@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -511,17 +512,73 @@ class TestHistoryExtend:
         assert len(history) == 0 and history.val_losses == []
 
     @pytest.mark.parametrize("code", [256, -1, 3])
-    def test_codes_outside_the_label_set_raise_on_read(self, code):
+    def test_codes_outside_the_label_set_raise_on_extend(self, code):
         # checked on the wide rows, before narrowing: 256 is not read as 0, -1 not as 255
         history = History(np.array([0, 1, 2]), np.array([1]), 3)
-        history.append(None, np.array([0.5]), np.array([0, 1, 2]), np.array([1]))
-        history.append(None, np.array([0.5]), np.array([0, code, 2]), np.array([1]))
-        for read in (lambda: history.val_rows, history.val_matrix):
-            with pytest.raises(ValueError, match="outside the label set"):
-                read()
+        history.append(Config({"u": 0.1}), np.array([0.1]), np.array([0, 1, 2]), np.array([1]))
+
+        def state():
+            return (
+                len(history), list(history.configs), [p.tobytes() for p in history.points],
+                list(history.val_losses), list(history.degenerate),
+            )
+
+        before = state()
+        stacks = (history.val_rows, history.test_rows, history.val_matrix(), history.test_matrix())
+        bad_val, good_test = np.array([0, code, 2]), np.array([1])
+        good_val, bad_test = np.array([0, 1, 1]), np.array([code])
+        for val, test, what in ((bad_val, good_test, "validation"), (good_val, bad_test, "test")):
+            message = rf"{what} predictions outside the label set \[0, 3\)"
+            with pytest.raises(ValueError, match=message):
+                history.append(Config({"u": 0.5}), np.array([0.5]), val, test)
+            with pytest.raises(ValueError, match=message):
+                history.extend(
+                    [Config({"u": 0.5})] * 2, [[0.5]] * 2, [good_val, val], [good_test, test],
+                    [True] * 2,
+                )
+            assert state() == before
+            now = (history.val_rows, history.test_rows, history.val_matrix(), history.test_matrix())
+            assert all(a is b for a, b in zip(now, stacks))
+        history.append(Config({"u": 0.9}), np.array([0.9]), good_val, good_test)
+        np.testing.assert_array_equal(history.val_rows, [[0, 1, 2], [0, 1, 1]])
         np.testing.assert_array_equal(history.test_rows, [[1], [1]])
-        with pytest.raises(ValueError, match="outside the label set"):
+        assert history.val_losses == [0.0, 1 / 3]
+        with pytest.raises(ValueError, match="validation labels outside the label set"):
             History(np.array([0, code]), np.array([1]), 3)
+        with pytest.raises(ValueError, match="test labels outside the label set"):
+            History(np.array([0, 1]), np.array([code]), 3)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_rows_changed_after_append_leave_the_pool_unchanged(self, dtype):
+        # a reused row buffer once turned the stored [0, 1, 0, 1] into [1, 1, 1, 1],
+        # whose loss still read 0.0
+        history = History(np.array([0, 1, 0, 1]), np.array([1, 0]), 2)
+        val, test = np.zeros(4, dtype=dtype), np.zeros(2, dtype=dtype)
+        for row, test_row in (([0, 1, 0, 1], [1, 0]), ([1, 1, 0, 0], [0, 0])):
+            val[:], test[:] = row, test_row
+            history.append(None, np.array([0.5]), val, test)
+        val[:], test[:] = 1, 1
+        np.testing.assert_array_equal(history.val_rows, [[0, 1, 0, 1], [1, 1, 0, 0]])
+        np.testing.assert_array_equal(history.test_rows, [[1, 0], [0, 0]])
+        assert history.val_losses == [0.0, 0.5]
+        block = np.array([[0, 0, 0, 1]], dtype=dtype)
+        history.extend([None], [[0.5]], block, test[None], [False])
+        block[:] = 1
+        np.testing.assert_array_equal(history.val_rows[2], [0, 0, 0, 1])
+        assert history.val_losses == [0.0, 0.5, 0.25]
+
+    def test_appended_views_do_not_keep_the_callers_matrix_alive(self):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 3, size=500)
+        wide = rng.integers(0, 3, size=(200, 500))
+        alive = weakref.ref(wide)
+        history = History(labels, labels[:10], 3)
+        for row in wide:
+            history.append(None, np.array([0.5]), row, row[:10])
+        want = wide.copy()
+        del wide, row
+        assert alive() is None
+        np.testing.assert_array_equal(history.val_rows, want)
 
     def test_matrix_is_built_once_per_pool_state(self):
         history = History(np.array([0, 1, 1]), np.array([0]), 2)

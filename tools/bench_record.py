@@ -29,6 +29,9 @@ import tempfile
 from typing import Any
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from ensopt.cli import UsageError, _parse_seeds  # noqa: E402
+
 SIDES = ("parent", "change")
 
 
@@ -48,14 +51,6 @@ def parse_transcript(text: str) -> dict[str, Any]:
         raise ValueError(f"transcript lacks {', '.join(missing) or 'a result line'}")
     found["result"] = json.loads(lines[-1])
     return found
-
-
-def parse_seeds(text: str) -> list[int]:
-    """``"2..5"`` or ``"2,3,4,5"`` as a list of seeds."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
 
 
 def export_commit(rev: str, dest: str) -> str:
@@ -128,7 +123,12 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--workloads", default="eo_default,batch_blobs,pool_replay")
     parser.add_argument("--seeds", default="1..10", help="one seed per pair: 2..11 or 1,4,7")
     parser.add_argument("--seconds", type=float, default=30.0)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    try:
+        args.seeds = _parse_seeds(args.seeds)
+    except UsageError as exc:
+        parser.error(str(exc))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         ).stdout.strip()
         roots = {"parent": scratch, "change": ROOT}
         for workload in args.workloads.split(","):
-            for pair, seed in enumerate(parse_seeds(args.seeds)):
+            for pair, seed in enumerate(args.seeds):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for position, side in enumerate(order):
                     run = run_bench(roots[side], workload, seed, args.seconds)
