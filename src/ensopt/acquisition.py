@@ -1,11 +1,14 @@
-"""Expected-improvement acquisition, averaged over a GP's hyperparameter samples."""
+"""Expected-improvement acquisition, averaged over a GP's hyperparameter samples.
+
+``scipy.special`` (for the normal CDF) is imported on the first EI score, so
+a process that proposes no point by EI does not load it.
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .surrogate import GpState
 
@@ -14,6 +17,9 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def _ei_batch(means: np.ndarray, variances: np.ndarray, best: float) -> np.ndarray:
     """EI below ``best``; ``variances`` are non-negative, as ``GpState.predict_batch`` gives them."""
+    # a few thousand calls per run, so the import lookup here costs milliseconds
+    from scipy.special import ndtr
+
     sigma = np.sqrt(variances)
     gap = best - means
     pos = sigma > 0.0

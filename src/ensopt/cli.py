@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import importlib
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ from .optimizer import (
     run_eo,
     select_best,
 )
-from .stats import NEMENYI_Q, Comparison, ResultTable, compare
+from .stats import NEMENYI_Q, RESULT_COLUMNS, Comparison, ResultTable, compare
 from .surrogate import NumericalError
 
 # each method: the engine that runs it and the ``final`` entry it reports
@@ -222,6 +223,11 @@ def _search_space(config: RunConfig) -> SearchSpace:
         raise UsageError(f"space file {path}: {exc}") from None
 
 
+def _dataset_name(config: RunConfig) -> str:
+    """The dataset column of a run's results rows: its file name without extension."""
+    return os.path.splitext(os.path.basename(config.dataset))[0]
+
+
 def execute_run(config: RunConfig) -> dict[str, Any]:
     """Run one optimization, write its artifact, return the summary."""
     space = _search_space(config)
@@ -282,7 +288,7 @@ def execute_run(config: RunConfig) -> dict[str, Any]:
     error = final[key]["test_error"]
     return {
         "method": config.method,
-        "dataset": os.path.splitext(os.path.basename(config.dataset))[0],
+        "dataset": _dataset_name(config),
         "seed": config.seed,
         "budget": config.budget,
         "test_error": error,
@@ -435,15 +441,41 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _result_keys(config: RunConfig) -> list[tuple[str, str, str]]:
+    """The (method, dataset, repetition) of each results row one seed's run reports."""
+    engine = METHODS[config.method][0]
+    dataset, rep = _dataset_name(config), str(config.seed)
+    return [(method, dataset, rep) for method, (e, _) in METHODS.items() if e == engine]
+
+
 def _batch_worker(config: RunConfig) -> list[tuple[str, str, str, float]]:
     """One seed's results rows: every method its engine's run reports."""
-    summary = execute_run(config)
-    engine = METHODS[config.method][0]
+    final = execute_run(config)["final"]
     return [
-        (method, summary["dataset"], str(config.seed), summary["final"][key]["test_error"])
-        for method, (method_engine, key) in METHODS.items()
-        if method_engine == engine
+        (method, dataset, rep, final[METHODS[method][1]]["test_error"])
+        for method, dataset, rep in _result_keys(config)
     ]
+
+
+def _check_results_file(path: str, configs: Sequence[RunConfig]) -> None:
+    """Reject a non-empty ``--results`` file with another header or one of the batch's rows.
+
+    ``compare`` would reject the file once the batch had appended to it.
+    """
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return
+    header = ",".join(RESULT_COLUMNS)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != list(RESULT_COLUMNS):
+                raise UsageError(f"--results {path!r} does not start with the header {header}")
+            held = {tuple(row[:3]) for row in reader}
+    except (OSError, ValueError, csv.Error) as exc:
+        raise UsageError(f"cannot read --results {path!r}: {exc}") from None
+    for key in (k for c in configs for k in _result_keys(c)):
+        if key in held:
+            raise UsageError(f"--results {path!r} already holds a row for {key}")
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -458,6 +490,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     ]
     for seed_config in configs:
         _check_output_dir("config field 'output_dir'", seed_config.output_dir)
+    _check_results_file(args.results, configs)
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(args.jobs or usable or 1, len(seeds))
     rows: list[tuple[str, str, str, float]] = []
@@ -469,6 +502,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
             except Exception as exc:
                 failures[seed_config.seed] = exc
     else:
+        # numpy imports these on first use, and every run uses both (its split
+        # draws from numpy.random, np.unique imports numpy.ma): importing them
+        # before the pool forks spares each worker the imports
+        for module in ("numpy.random", "numpy.ma"):
+            importlib.import_module(module)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_batch_worker, c): c.seed for c in configs}
             for fut in concurrent.futures.as_completed(futures):
@@ -479,11 +517,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # the finished seeds' rows are kept whatever happened to the others
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
     if rows:
-        exists = os.path.exists(args.results)
         with open(args.results, "a", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            if not exists:
-                writer.writerow(["method", "dataset", "repetition", "error"])
+            if fh.tell() == 0:
+                writer.writerow(RESULT_COLUMNS)
             for method, dataset, rep, error in rows:
                 writer.writerow([method, dataset, rep, f"{error:.6f}"])
     if not failures:

@@ -9,6 +9,9 @@ grouping.
 
 Ranks and chi-square tails match ``scipy.stats`` bit for bit without
 importing it, which would cost every process that loads the CLI about 38 MB.
+The normal and chi-square tails come from ``scipy.special``, imported only
+when a Wilcoxon p-value needs the normal approximation or a Friedman
+p-value is computed, so loading this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
+
+# The columns of a results CSV, in the order ``batch`` writes them.
+RESULT_COLUMNS = ("method", "dataset", "repetition", "error")
 
 # Critical values q_alpha(k) of the studentized range statistic divided by
 # sqrt(2), for k = 2..10 methods (Demsar 2006, two-tailed Nemenyi test).
@@ -81,7 +86,7 @@ class ResultTable:
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            required = {"method", "dataset", "repetition", "error"}
+            required = set(RESULT_COLUMNS)
             if reader.fieldnames is None or not required <= set(reader.fieldnames):
                 raise ValueError(f"{path}: expected columns {sorted(required)}")
             for row in reader:
@@ -170,6 +175,8 @@ def wilcoxon_signed_rank(
     variance -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
     if variance <= 0.0:
         return WilcoxonResult(t_observed, 1.0, n, exact=False, degenerate=True)
+    from scipy.special import ndtr
+
     z = (t_observed - mean + 0.5) / math.sqrt(variance)
     p = min(1.0, 2.0 * float(ndtr(z)))
     return WilcoxonResult(t_observed, p, n, exact=False)
@@ -186,6 +193,8 @@ def friedman_from_ranks(mean_ranks: Sequence[float] | np.ndarray, n_datasets: in
     stat = (12.0 * n_datasets / (k * (k + 1))) * (
         float(np.sum(ranks**2)) - k * (k + 1) ** 2 / 4.0
     )
+    from scipy.special import chdtrc
+
     # chi2.sf(stat, k - 1) is chdtrc above 0 and 1 at or below it; chdtrc
     # gives NaN below 0
     p = float(chdtrc(k - 1, max(stat, 0.0)))

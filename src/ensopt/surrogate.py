@@ -5,6 +5,10 @@ one lengthscale per input dimension.  Targets are standardized internally;
 predictions are reported in the original units.  Kernel hyperparameters are
 integrated out approximately by slice sampling their log posterior; one
 ``GpState`` holds the GP under every sample.
+
+scipy's LAPACK wrappers (``dpotrs``, ``dtrtrs``) are imported when a process
+builds its first ``_KernelCache``, on its first slice-sampling call or GP
+fit, so a process that fits no GP never loads ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg.lapack import dpotrs, dtrtrs
 
 SQRT5 = math.sqrt(5.0)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -133,6 +136,10 @@ def _factorize(K: np.ndarray, amplitude: float, noise: float) -> tuple[np.ndarra
     The jitter starts at ``JITTER_START`` and grows x10 on each failure up to
     ``JITTER_MAX``.  The shift is written into ``K``'s diagonal in place, so
     ``K`` must be a C-contiguous array the caller owns.
+
+    A failed attempt sets numpy's invalid flag.  Callers that factorize in a
+    loop enter ``np.errstate(all="ignore")`` once around it: entering it here,
+    on every likelihood evaluation, costs about 7% of a slice-sampling call.
     """
     t = K.shape[0]
     diag = K.reshape(-1)[:: t + 1]
@@ -140,25 +147,16 @@ def _factorize(K: np.ndarray, amplitude: float, noise: float) -> tuple[np.ndarra
     jitter = JITTER_START
     # the gufunc behind np.linalg.cholesky, without its argument checks: where
     # np.linalg.cholesky raises LinAlgError, it returns a factor of NaNs
-    with np.errstate(all="ignore"):
-        while True:
-            np.add(base, noise + jitter * amplitude, out=diag)
-            L = _umath_linalg.cholesky_lo(K, signature="d->d")
-            if not math.isnan(L[0, 0]):
-                return L, jitter
-            jitter *= 10.0
-            if jitter > JITTER_MAX * (1.0 + 1e-12):
-                raise NumericalError(
-                    "covariance matrix is not positive definite at maximum jitter"
-                )
-
-
-def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L L^T x = b``: the LAPACK call ``scipy.linalg.cho_solve`` makes."""
-    x, info = dpotrs(L, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x
+    while True:
+        np.add(base, noise + jitter * amplitude, out=diag)
+        L = _umath_linalg.cholesky_lo(K, signature="d->d")
+        if not math.isnan(L[0, 0]):
+            return L, jitter
+        jitter *= 10.0
+        if jitter > JITTER_MAX * (1.0 + 1e-12):
+            raise NumericalError(
+                "covariance matrix is not positive definite at maximum jitter"
+            )
 
 
 class GpState:
@@ -179,10 +177,12 @@ class GpState:
             raise ValueError("one lengthscale per input dimension is required")
         self.obs = obs
         kernel = _KernelCache(obs)
-        factors = [kernel.factor(h.amplitude, h.lengthscales, h.noise) for h in samples]
+        self._dtrtrs = kernel.dtrtrs
+        with np.errstate(all="ignore"):
+            factors = [kernel.factor(h.amplitude, h.lengthscales, h.noise) for h in samples]
         self.chols = np.stack([chol for chol, _ in factors])  # (S, t, t)
         self.jitters = [jitter for _, jitter in factors]
-        self.alpha = np.stack([_cho_solve(chol, obs.targets) for chol, _ in factors])[:, :, None]
+        self.alpha = np.stack([kernel.solve(chol, obs.targets) for chol, _ in factors])[:, :, None]
         # (S, 1, d, 1): one column per sample, broadcast over the t observations
         self.inv_sq = np.stack([1.0 / h.lengthscales**2 for h in samples])[:, None, :, None]
         self.amplitudes = np.array([h.amplitude for h in samples])[:, None, None]  # (S, 1, 1)
@@ -211,7 +211,7 @@ class GpState:
             for s, chol in enumerate(self.chols[lo:hi]):
                 # the LAPACK call scipy.linalg.solve_triangular(chol, b, lower=True)
                 # makes on a C-ordered factor: the transposed upper factor
-                v, info = dtrtrs(chol.T, k_star[s], 0, 1)
+                v, info = self._dtrtrs(chol.T, k_star[s], 0, 1)
                 if info != 0:
                     raise NumericalError(f"triangular solve failed (info {info})")
                 # v is Fortran-ordered, so each row of squares[s] is one of its
@@ -239,6 +239,11 @@ class _KernelCache:
     """
 
     def __init__(self, obs: ObservationSet):
+        # bound once per cache: an import per likelihood evaluation would cost
+        # about 1 us each, tens of thousands of times per run
+        from scipy.linalg.lapack import dpotrs, dtrtrs
+
+        self.dpotrs, self.dtrtrs = dpotrs, dtrtrs
         self.sq = _sq_diffs(obs.inputs, obs.inputs)  # (t, t, d)
         self.y = obs.targets
         # the Matern shape of the last lengthscales, the kernel of the last amplitude
@@ -263,11 +268,18 @@ class _KernelCache:
         # _factorize shifts the diagonal in place, so it gets a copy
         return _factorize(self._K.copy(), amplitude, noise)
 
+    def solve(self, L: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Solve ``L L^T x = b``: the LAPACK call ``scipy.linalg.cho_solve`` makes."""
+        x, info = self.dpotrs(L, b, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return x
+
     def __call__(self, amplitude: float, lengthscales: np.ndarray, noise: float) -> float:
         """Log marginal likelihood of the standardized targets."""
         y = self.y
         L, _ = self.factor(amplitude, lengthscales, noise)
-        alpha = _cho_solve(L, y)
+        alpha = self.solve(L, y)
         return float(
             -0.5 * (y @ alpha) - np.log(L.diagonal()).sum() - 0.5 * y.shape[0] * LOG_2PI
         )
@@ -386,20 +398,22 @@ def slice_sample_hypers(
     d = obs.dimension
     log_target = _log_posterior(obs)
     theta = np.log(np.array([row[0] for row in coordinate_priors(d)]))
-    f = log_target(theta)
 
     def sweep(theta: np.ndarray, f: float) -> tuple[np.ndarray, float]:
         for axis in range(d + 2):
             theta, f = _slice_axis(log_target, theta, f, axis, rng)
         return theta, f
 
-    for _ in range(burn_in):
-        theta, f = sweep(theta, f)
     samples: list[GpHyperparams] = []
-    while len(samples) < count:
-        for _ in range(thin):
+    # one errstate for every factorization the walk makes (see _factorize)
+    with np.errstate(all="ignore"):
+        f = log_target(theta)
+        for _ in range(burn_in):
             theta, f = sweep(theta, f)
-        samples.append(_theta_to_hypers(theta, d))
+        while len(samples) < count:
+            for _ in range(thin):
+                theta, f = sweep(theta, f)
+            samples.append(_theta_to_hypers(theta, d))
     return samples
 
 

@@ -12,6 +12,7 @@ from ensopt.data import DataError
 from ensopt.ensemble import zero_one_ensemble_loss
 from ensopt.hyperspace import ParamSpec, SearchSpace
 from ensopt.optimizer import History, RunArtifact, post_hoc
+from ensopt.stats import ResultTable
 from ensopt.surrogate import NumericalError
 
 TOY_CSV = os.path.join(os.path.dirname(__file__), "data", "toy.csv")
@@ -698,6 +699,53 @@ class TestBatchCommand:
             text = fh.read()
         assert text.count("method,dataset,repetition,error") == 1
         assert len(text.strip().splitlines()) == 5
+
+    def test_batch_writes_the_header_into_an_empty_file(self, tmp_path, capsys):
+        cfg, _ = base_config(tmp_path, budget=4, init=4, output_dir=str(tmp_path / "runs"))
+        results = tmp_path / "results.csv"
+        results.write_text("")
+        assert cli.main([
+            "batch", "--config", cfg, "--seeds", "1..2",
+            "--results", str(results), "--jobs", "1",
+        ]) == 0
+        capsys.readouterr()
+        assert results.read_text().splitlines()[0] == "method,dataset,repetition,error"
+        assert ResultTable.from_csv(str(results)).errors.shape == (2, 1, 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["method,dataset,error\n", "error,method,dataset,repetition\n", "bo-best,toy,9,0.5\n"],
+        ids=["missing-column", "reordered", "no-header"],
+    )
+    def test_batch_rejects_another_header_before_training(
+        self, tmp_path, capsys, monkeypatch, text
+    ):
+        monkeypatch.setattr(cli, "load_csv", refuse_data)
+        cfg, doc = base_config(tmp_path, output_dir=str(tmp_path / "runs"))
+        results = tmp_path / "results.csv"
+        results.write_text(text)
+        assert cli.main([
+            "batch", "--config", cfg, "--seeds", "1", "--results", str(results), "--jobs", "1",
+        ]) == 1
+        assert_usage_error(capsys, "header method,dataset,repetition,error")
+        assert results.read_text() == text
+        assert not os.path.exists(doc["output_dir"])
+
+    def test_batch_rejects_a_row_it_would_repeat_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg, doc = base_config(tmp_path, budget=4, init=4, output_dir=str(tmp_path / "runs"))
+        results = tmp_path / "results.csv"
+        argv = ["batch", "--config", cfg, "--results", str(results), "--jobs", "1"]
+        assert cli.main(argv + ["--seeds", "2"]) == 0
+        capsys.readouterr()
+        text = results.read_text()
+        monkeypatch.setattr(cli, "load_csv", refuse_data)
+        # seed 3 is new, seed 2's rows are in the file
+        assert cli.main(argv + ["--seeds", "3,2"]) == 1
+        assert_usage_error(capsys, "('bo-best', 'toy', '2')")
+        assert results.read_text() == text
+        assert not os.path.exists(os.path.join(doc["output_dir"], "seed_3"))
 
     def test_eo_batch_emits_both_selections(self, tmp_path, capsys):
         cfg, _ = base_config(

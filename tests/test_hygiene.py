@@ -1,15 +1,18 @@
 """Static checks over the package sources."""
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "ensopt")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -168,16 +171,90 @@ def test_no_unreferenced_public_definitions():
     assert unreferenced_public_definitions(sources, readme) == []
 
 
-def test_package_loads_no_scipy_stats():
-    """Only ``compare`` ranks, and ``scipy.stats`` would cost every process about 38 MB."""
+def run_fresh(code: str, *args: str) -> str:
+    """Stdout of ``code`` run with ``args`` in a new interpreter that imports ensopt from ``src``."""
     src = os.path.abspath(os.path.dirname(PACKAGE))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_loads_no_scipy_stats():
+    """Only ``compare`` ranks, and ``scipy.stats`` would cost every process about 38 MB."""
     code = (
         "import sys, ensopt, ensopt.cli, ensopt.stats; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+
+# prints "scipy <step> <linalg or -> <special or ->": which of scipy's
+# compiled modules the process has loaded after a step
+LOADED = """
+import sys
+def loaded(step):
+    linalg, special = ("scipy." + m in sys.modules for m in ("linalg", "special"))
+    print("scipy", step, "linalg" if linalg else "-", "special" if special else "-")
+"""
+
+
+def loaded_lines(out: str) -> list[str]:
+    return [line[len("scipy ") :] for line in out.splitlines() if line.startswith("scipy ")]
+
+
+def test_post_and_random_runs_load_no_compiled_scipy(tmp_path):
+    """Only a GP fit or a test statistic needs ``scipy.linalg`` or ``scipy.special``."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "method": "bo-best", "dataset": os.path.join(DATA, "toy.csv"), "label_col": "label",
+        "output_dir": str(tmp_path / "run"), "budget": 4, "init": 4, "seed": 1,
+        "folds": 3, "test_fraction": 0.25, "algorithms": ["knn", "tree"],
+    }))
+    code = LOADED + """
+import ensopt, ensopt.cli
+loaded("import")
+assert ensopt.cli.main(["post", "--artifact", sys.argv[1], "--size", "5", "--warm", "2"]) == 0
+loaded("post")
+assert ensopt.cli.main(["run", "--config", sys.argv[2]]) == 0
+loaded("run")
+"""
+    out = run_fresh(code, os.path.join(DATA, "artifact"), str(config))
+    assert loaded_lines(out) == ["import - -", "post - -", "run - -"]
+
+
+# a GP from a cold start, one step per entry: the calls one EO proposal makes
+GP_STEPS = (
+    ("import", """
+import numpy as np
+from ensopt.acquisition import next_point
+from ensopt.surrogate import ObservationSet, fit, slice_sample_hypers
+rng = np.random.default_rng(5)
+obs = ObservationSet(rng.random((8, 3)), rng.normal(size=8))
+"""),
+    ("slice", "samples = slice_sample_hypers(obs, 3, rng, burn_in=3, thin=1)"),
+    ("fit", "gp = fit(obs, samples)"),
+    ("next_point", "point = next_point(gp, float(obs.raw_targets.min()), rng, 50, 2)"),
+)
+
+
+def test_a_cold_gp_loads_scipy_on_first_use_with_the_same_bits():
+    """The LAPACK wrappers and ``ndtr``, imported on first use, give the in-process bits."""
+    code = LOADED + "".join(f"{body}\nloaded({name!r})\n" for name, body in GP_STEPS)
+    code += "print(np.array([h.as_list() for h in samples]).tobytes().hex())\n"
+    code += "print(point.tobytes().hex())\n"
+    *out, sample_hex, point_hex = run_fresh(code).splitlines()
+    assert loaded_lines("\n".join(out)) == [
+        "import - -",
+        "slice linalg -",
+        "fit linalg -",
+        "next_point linalg special",
+    ]
+    here: dict = {}
+    exec("\n".join(body for _, body in GP_STEPS), here)
+    samples = np.array([h.as_list() for h in here["samples"]])
+    assert bytes.fromhex(sample_hex) == samples.tobytes()
+    assert bytes.fromhex(point_hex) == here["point"].tobytes()

@@ -471,18 +471,41 @@ class TestFastPaths:
         # a negative shift makes the repeated rows indefinite until the
         # jitter has grown past it
         noise = -2e-6
-        L, jitter = _factorize(K.copy(), 1.3, noise)
+        with np.errstate(all="ignore"):  # as _factorize's looping callers do
+            L, jitter = _factorize(K.copy(), 1.3, noise)
         L_ref, jitter_ref = reference_factor(K, 1.3, noise)
         assert jitter == jitter_ref > 1e-6
         np.testing.assert_array_equal(L, L_ref)
 
     def test_factorize_raises_past_max_jitter(self):
         K = np.ones((4, 4)) - 2.0 * JITTER_MAX * np.eye(4)
-        with pytest.raises(NumericalError):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
             _factorize(K, 1.0, 0.0)
         # just inside the limit the same matrix factorizes
-        _, jitter = _factorize(np.ones((4, 4)) - 0.5 * JITTER_MAX * np.eye(4), 1.0, 0.0)
+        with np.errstate(all="ignore"):
+            _, jitter = _factorize(np.ones((4, 4)) - 0.5 * JITTER_MAX * np.eye(4), 1.0, 0.0)
         assert jitter == pytest.approx(JITTER_MAX)
+
+    def test_looping_callers_factorize_under_one_errstate(self, monkeypatch):
+        """The slice walk and ``fit`` ignore numpy's float errors around every factorization."""
+        states = []
+        factorize = surrogate._factorize
+
+        def recording(K, amplitude, noise):
+            states.append(np.geterr())
+            return factorize(K, amplitude, noise)
+
+        monkeypatch.setattr(surrogate, "_factorize", recording)
+        outside = np.geterr()
+        rng = np.random.default_rng(61)
+        obs = ObservationSet(rng.random((5, 2)), rng.normal(size=5))
+        samples = slice_sample_hypers(obs, 2, rng, burn_in=1, thin=1)
+        walked = len(states)
+        fit(obs, samples)
+        ignore = dict.fromkeys(("divide", "over", "under", "invalid"), "ignore")
+        assert 0 < walked < len(states)
+        assert all(state == ignore for state in states)
+        assert np.geterr() == outside != ignore
 
     def test_factorize_matches_numpy_cholesky_bitwise(self):
         """Same factor bits, and failure exactly where ``np.linalg.cholesky`` raises."""
@@ -506,11 +529,12 @@ class TestFastPaths:
                 except np.linalg.LinAlgError:
                     jitter *= 10.0
             if want is None:
-                with pytest.raises(NumericalError):
+                with np.errstate(all="ignore"), pytest.raises(NumericalError):
                     _factorize(K.copy(), 1.0, noise)
                 jitters.add(None)
                 continue
-            L, got_jitter = _factorize(K.copy(), 1.0, noise)
+            with np.errstate(all="ignore"):
+                L, got_jitter = _factorize(K.copy(), 1.0, noise)
             assert got_jitter == jitter
             assert L.tobytes() == want.tobytes()
             jitters.add(jitter)
