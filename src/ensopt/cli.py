@@ -504,8 +504,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
     else:
         # numpy imports these on first use, and every run uses both (its split
         # draws from numpy.random, np.unique imports numpy.ma): importing them
-        # before the pool forks spares each worker the imports
-        for module in ("numpy.random", "numpy.ma"):
+        # before the pool forks spares each worker the imports.  A run that
+        # fits a GP also loads scipy's LAPACK wrappers and special functions;
+        # one that does not must not, as forked workers count the parent's pages
+        preload = ["numpy.random", "numpy.ma"]
+        if config.init < config.budget:
+            preload += ["scipy.linalg.lapack", "scipy.special"]
+        for module in preload:
             importlib.import_module(module)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_batch_worker, c): c.seed for c in configs}

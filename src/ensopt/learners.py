@@ -233,6 +233,13 @@ def predict(model: TrainedModel, features: np.ndarray) -> np.ndarray:
 
 # --- k-nearest neighbours ---------------------------------------------------
 
+# Elements of the (rows, n) distance block that one selection step works
+# through.  Smaller blocks cost numpy call overhead, larger ones page faults:
+# a step holds about three block-sized float64 temporaries, and glibc returns
+# a freed heap top above twice its mmap threshold to the system, so at
+# 1 << 16 a 198 x 402 call faulted its blocks in again on every step.
+KNN_BLOCK = 1 << 15
+
 
 def _train_knn(config: Config, data: Dataset) -> dict[str, Any]:
     (k,) = map(int, _require(config, "knn"))
@@ -251,29 +258,46 @@ def _train_knn(config: Config, data: Dataset) -> dict[str, Any]:
 
 
 def _predict_knn(params: dict[str, Any], X: np.ndarray) -> np.ndarray:
+    """Label codes voted by each query row's k nearest training rows.
+
+    Squared distances are ``(|x|^2 + |t|^2) - 2 x.t``.  The products ``x.t``
+    form one m x n matrix; selection and votes then run
+    ``max(1, KNN_BLOCK // n)`` query rows at a time, so a call holds that
+    matrix, an n x n_labels one-hot and O(``KNN_BLOCK``) temporaries.
+    """
     Xs = (X - params["mean"]) / params["sd"]
     train_x = params["train_x"]
-    d2 = (
-        np.sum(Xs * Xs, axis=1)[:, None]
-        + np.sum(train_x * train_x, axis=1)[None, :]
-        - 2.0 * (Xs @ train_x.T)
-    )
+    # one product for all query rows: OpenBLAS picks its kernels by shape, so
+    # a row block's own product can differ from its rows of the whole product
+    # in the last bit, which moves distance ties and changes predictions
+    cross = Xs @ train_x.T
+    cross *= -2.0
+    x_sq = np.sum(Xs * Xs, axis=1)
+    train_sq = np.sum(train_x * train_x, axis=1)
     k = params["k"]
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
-    chosen = d2 <= kth
-    # rows with more ties at the k-th distance than room keep the first ones
-    surplus = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k)
-    if surplus.size:
-        dist, cut = d2[surplus], kth[surplus]
-        ties = dist == cut
-        room = k - np.count_nonzero(dist < cut, axis=1)
-        chosen[surplus] &= ~ties | (np.cumsum(ties, axis=1) <= room[:, None])
-    n_labels = params["n_labels"]
-    row, col = np.nonzero(chosen)
-    votes = np.bincount(
-        row * n_labels + params["train_y"][col], minlength=X.shape[0] * n_labels
-    )
-    return np.argmax(votes.reshape(X.shape[0], n_labels), axis=1)
+    m, n = cross.shape
+    one_hot = np.zeros((n, params["n_labels"]))
+    one_hot[np.arange(n), params["train_y"]] = 1.0
+    out = np.empty(m, dtype=np.int64)
+    step = max(1, KNN_BLOCK // n)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        # (a + b) + (-2 g) has the bits of (a + b) - 2 g
+        dist = x_sq[lo:hi, None] + train_sq
+        dist += cross[lo:hi]
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+        chosen = dist <= kth
+        # rows with more ties at the k-th distance than room keep the first ones
+        surplus = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k)
+        if surplus.size:
+            row_dist, cut = dist[surplus], kth[surplus]
+            ties = row_dist == cut
+            room = k - np.count_nonzero(row_dist < cut, axis=1)
+            chosen[surplus] &= ~ties | (np.cumsum(ties, axis=1) <= room[:, None])
+        # vote counts are whole numbers, exact in float64: the argmax, first
+        # of the largest, is that of integer counts
+        out[lo:hi] = np.argmax(chosen.astype(float) @ one_hot, axis=1)
+    return out
 
 
 # --- decision tree ----------------------------------------------------------

@@ -226,6 +226,41 @@ loaded("run")
     assert loaded_lines(out) == ["import - -", "post - -", "run - -"]
 
 
+# a batch whose pool runs no task and prints which of scipy's compiled
+# modules were loaded when the batch created it, that is, before the fork
+STUB_POOL = LOADED + """
+import concurrent.futures
+import ensopt.cli
+class Pool:
+    def __init__(self, max_workers):
+        loaded("fork")
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result([])
+        return fut
+concurrent.futures.ProcessPoolExecutor = Pool
+argv = ["batch", "--config", sys.argv[1], "--seeds", "1,2", "--results", sys.argv[2], "--jobs", "2"]
+assert ensopt.cli.main(argv) == 0
+"""
+
+
+@pytest.mark.parametrize("init, fork", [(3, "fork linalg special"), (4, "fork - -")])
+def test_a_gp_batch_loads_scipy_once_before_its_workers_fork(tmp_path, init, fork):
+    """Workers share the batch's scipy pages; a batch without a GP loads none."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "method": "bo-best", "dataset": os.path.join(DATA, "toy.csv"), "label_col": "label",
+        "output_dir": str(tmp_path / "runs"), "budget": 4, "init": init, "seed": 1,
+        "folds": 3, "test_fraction": 0.25, "algorithms": ["knn", "tree"],
+    }))
+    out = run_fresh(STUB_POOL, str(config), str(tmp_path / "results.csv"))
+    assert loaded_lines(out) == [fork]
+
+
 # a GP from a cold start, one step per entry: the calls one EO proposal makes
 GP_STEPS = (
     ("import", """

@@ -1,6 +1,8 @@
 """Tests for the base classifiers and their shared training front door."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,12 @@ from ensopt.learners import (
 )
 
 from oracles import predict_knn, train_linear
+
+try:
+    import hypothesis
+    import hypothesis.extra.numpy as hnp
+except ImportError:  # in the test extra; only the kNN property needs it
+    hypothesis = None
 
 
 def blob_dataset(
@@ -148,6 +156,19 @@ class TestKnn:
         with pytest.raises(ValueError, match="n_neighbors"):
             train("knn", Config({}), [data])
 
+    def test_prediction_holds_about_one_distance_matrix(self):
+        rng = np.random.default_rng(3)
+        data = Dataset(rng.normal(size=(1500, 2)), rng.integers(0, 2, size=1500), ("a", "b"))
+        model = train("knn", Config({"n_neighbors": 5}), [data])[0]
+        queries = rng.normal(size=(1500, 2))
+        tracemalloc.start()
+        try:
+            predict(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1500 * 1500 * 8
+
 
 class TestKnnMatchesStableSort:
     """Predictions equal those of a full stable sort of every distance row."""
@@ -176,6 +197,45 @@ class TestKnnMatchesStableSort:
             np.testing.assert_array_equal(
                 predict(model, queries), predict_knn(model.params, queries)
             )
+
+
+if hypothesis is not None:
+    st = hypothesis.strategies
+
+    @st.composite
+    def knn_cases(draw):
+        """Training rows with duplicates of differing labels, queries, k and a block size."""
+        n, d = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+        m, n_labels = draw(st.integers(0, 30)), draw(st.integers(2, 4))
+        if draw(st.booleans()):
+            # coarse integer features make many exactly equal distances
+            values = st.integers(-1, 2).map(float)
+        else:
+            values = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+        features = draw(hnp.arrays(float, (n, d), elements=values))
+        queries = draw(hnp.arrays(float, (m, d), elements=values))
+        labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_labels - 1)))
+        labels[:2] = [0, 1]
+        # copies of training rows, in training and among the queries
+        for i in range(draw(st.integers(0, n // 2))):
+            features[draw(st.integers(0, n - 1))] = features[i]
+        for i in range(min(m, n)):
+            if draw(st.booleans()):
+                queries[i] = features[draw(st.integers(0, n - 1))]
+        k = draw(st.integers(1, n))
+        # from one row per block up to one block for every row
+        block = draw(st.integers(1, (m + 1) * n))
+        return Dataset(features, labels, tuple("abcd"[:n_labels])), queries, k, block
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(knn_cases())
+    def test_knn_in_row_blocks_equals_stable_sort(case):
+        data, queries, k, block = case
+        model = train("knn", Config({"n_neighbors": k}), [data])[0]
+        with mock.patch.object(learners, "KNN_BLOCK", block):
+            got = predict(model, queries)
+        want = predict_knn(model.params, queries)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 TREE_CFG = {"max_depth": 5, "min_samples_split": 2, "min_samples_leaf": 1}
