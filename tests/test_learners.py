@@ -199,43 +199,49 @@ class TestKnnMatchesStableSort:
             )
 
 
-if hypothesis is not None:
+def draw_knn_case(draw):
+    """Training rows with duplicates of differing labels, queries, k and a block size."""
     st = hypothesis.strategies
-
-    @st.composite
-    def knn_cases(draw):
-        """Training rows with duplicates of differing labels, queries, k and a block size."""
-        n, d = draw(st.integers(2, 40)), draw(st.integers(1, 3))
-        m, n_labels = draw(st.integers(0, 30)), draw(st.integers(2, 4))
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    m, n_labels = draw(st.integers(0, 30)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        # coarse integer features make many exactly equal distances
+        values = st.integers(-1, 2).map(float)
+    else:
+        values = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+    features = draw(hnp.arrays(float, (n, d), elements=values))
+    queries = draw(hnp.arrays(float, (m, d), elements=values))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_labels - 1)))
+    labels[:2] = [0, 1]
+    # copies of training rows, in training and among the queries
+    for i in range(draw(st.integers(0, n // 2))):
+        features[draw(st.integers(0, n - 1))] = features[i]
+    for i in range(min(m, n)):
         if draw(st.booleans()):
-            # coarse integer features make many exactly equal distances
-            values = st.integers(-1, 2).map(float)
-        else:
-            values = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
-        features = draw(hnp.arrays(float, (n, d), elements=values))
-        queries = draw(hnp.arrays(float, (m, d), elements=values))
-        labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_labels - 1)))
-        labels[:2] = [0, 1]
-        # copies of training rows, in training and among the queries
-        for i in range(draw(st.integers(0, n // 2))):
-            features[draw(st.integers(0, n - 1))] = features[i]
-        for i in range(min(m, n)):
-            if draw(st.booleans()):
-                queries[i] = features[draw(st.integers(0, n - 1))]
-        k = draw(st.integers(1, n))
-        # from one row per block up to one block for every row
-        block = draw(st.integers(1, (m + 1) * n))
-        return Dataset(features, labels, tuple("abcd"[:n_labels])), queries, k, block
+            queries[i] = features[draw(st.integers(0, n - 1))]
+    k = draw(st.integers(1, n))
+    # from one row per block up to one block for every row
+    block = draw(st.integers(1, (m + 1) * n))
+    return Dataset(features, labels, tuple("abcd"[:n_labels])), queries, k, block
 
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-    @hypothesis.given(knn_cases())
-    def test_knn_in_row_blocks_equals_stable_sort(case):
-        data, queries, k, block = case
-        model = train("knn", Config({"n_neighbors": k}), [data])[0]
-        with mock.patch.object(learners, "KNN_BLOCK", block):
-            got = predict(model, queries)
-        want = predict_knn(model.params, queries)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+def given_knn_cases(test):
+    """Run ``test`` on 300 fixed kNN cases; without hypothesis, report it skipped."""
+    if hypothesis is None:
+        return pytest.mark.skip(reason="needs hypothesis")(test)
+    cases = hypothesis.strategies.composite(draw_knn_case)()
+    settings = hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    return settings(hypothesis.given(cases)(test))
+
+
+@given_knn_cases
+def test_knn_in_row_blocks_equals_stable_sort(case):
+    data, queries, k, block = case
+    model = train("knn", Config({"n_neighbors": k}), [data])[0]
+    with mock.patch.object(learners, "KNN_BLOCK", block):
+        got = predict(model, queries)
+    want = predict_knn(model.params, queries)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 TREE_CFG = {"max_depth": 5, "min_samples_split": 2, "min_samples_leaf": 1}
