@@ -10,13 +10,15 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ensopt import cli
+from ensopt import cli, synthetic
 from ensopt.acquisition import next_point
 from ensopt.ensemble import (
     Ensemble,
@@ -30,7 +32,6 @@ from ensopt.hyperspace import ParamSpec, SearchSpace
 from ensopt.optimizer import digest_vector, run_eo
 from ensopt.stats import friedman_from_ranks, nemenyi_cd, wilcoxon_signed_rank
 from ensopt.surrogate import GpHyperparams, ObservationSet, fit
-from ensopt.synthetic import gaussian_blobs, two_moons
 
 from oracles import (
     expected_improvement,
@@ -367,43 +368,61 @@ class TestCriterion8WilcoxonExactness:
         assert time.perf_counter() - start < 60.0
 
 
-class TestCriterion9DirectionalEndToEnd:
-    def test_ensemble_aware_search_beats_single_best(self):
-        # two synthetic datasets, 10 repetitions, budget 60, 5 slots,
-        # 5 folds; directional claims on mean test error only
-        from ensopt.data import make_split
-        from ensopt.learners import ALGORITHMS, default_space
-        from ensopt.optimizer import (
-            CrossValEvaluator,
-            SearchSettings,
-            evaluate_on_test,
-            post_hoc,
-            run_bo,
-            select_best,
-        )
+# the paper's protocol: run config, seeds, one method per engine and the
+# generator of each dataset
+PROTOCOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "protocol.json")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+# forked batch workers keep the BLAS library's default thread count and
+# oversubscribe the cores; one thread each, as ensbench pins them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-        settings = SearchSettings(
-            burn_in=12, gp_samples=5, thin=1, candidates=500, refinements=10
-        )
-        space = default_space(ALGORITHMS)
+
+def run_batch(*args: str) -> None:
+    """``ensopt batch`` with ``args`` in a new interpreter that imports ensopt from ``src``."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ensopt.cli", "batch", *args],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestCriterion9DirectionalEndToEnd:
+    def test_ensemble_aware_search_beats_single_best(self, tmp_path):
+        # the protocol file's datasets and seeds, each (dataset, method) run
+        # by `ensopt batch`; directional claims on mean test error only
+        with open(PROTOCOL, encoding="utf-8") as fh:
+            protocol = json.load(fh)
+        seeds = protocol["seeds"]
+        results = str(tmp_path / "results.csv")
         start = time.perf_counter()
         summary = {}
-        for name, data in (
-            ("blobs", gaussian_blobs(600, spread=1.3, seed=101)),
-            ("moons", two_moons(600, noise=0.35, seed=201)),
-        ):
-            errors = {m: [] for m in ("bo-best", "bo-post", "eo", "eo-post")}
-            for seed in range(1, 11):
-                plan = make_split(data, 0.33, 5, seed)
-                evaluator = CrossValEvaluator(ALGORITHMS, data, plan)
-                hist, _ = run_bo(space, evaluator, 60, init=15, seed=seed, settings=settings)
-                errors["bo-best"].append(evaluate_on_test(select_best(hist), hist))
-                errors["bo-post"].append(evaluate_on_test(post_hoc(hist, 12, 1), hist))
-                hist, ens, _ = run_eo(
-                    space, evaluator, 60, 5, init=15, seed=seed, settings=settings
+        for name, spec in protocol["datasets"].items():
+            dataset = str(tmp_path / f"{name}.csv")
+            synthetic.to_csv(getattr(synthetic, spec["generator"])(**spec["args"]), dataset)
+            errors = {m: [] for m in cli.METHODS}
+            for method in protocol["methods"]:
+                out_dir = tmp_path / name / method
+                config = tmp_path / f"{name}_{method}.json"
+                config.write_text(json.dumps({
+                    **protocol["config"],
+                    "method": method,
+                    "dataset": dataset,
+                    "label_col": "label",
+                    "output_dir": str(out_dir),
+                }), encoding="utf-8")
+                run_batch(
+                    "--config", str(config), "--seeds", ",".join(map(str, seeds)),
+                    "--results", results,
                 )
-                errors["eo"].append(evaluate_on_test(ens, hist))
-                errors["eo-post"].append(evaluate_on_test(post_hoc(hist, 12, 1), hist))
+                engine = cli.METHODS[method][0]
+                for seed in seeds:
+                    with open(out_dir / f"seed_{seed}" / "run.json", encoding="utf-8") as fh:
+                        final = json.load(fh)["final"]
+                    for m, (e, key) in cli.METHODS.items():
+                        if e == engine:
+                            errors[m].append(final[key]["test_error"])
             means = {m: float(np.mean(v)) for m, v in errors.items()}
             summary[name] = means
             assert means["eo-post"] <= means["bo-best"], (name, means)

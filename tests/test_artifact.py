@@ -97,7 +97,7 @@ def reference(value, indent=""):
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
 @hypothesis.given(documents, st.sampled_from(["", "  ", "      "]))
 def test_json_text_equals_json_dumps(value, indent):
     assert _json_text(value, indent) == reference(value, indent)
@@ -119,7 +119,7 @@ pools = st.integers(0, 3).flatmap(
 )
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(pools)
 @hypothesis.example((0, [({}, True, [])]))
 @hypothesis.example((2, [({"a": -0.0, "é": "ü"}, False, [math.nan, -math.inf])]))

@@ -898,6 +898,36 @@ class TestBatchCommand:
         assert results.read_text(encoding="utf-8").splitlines()[1:] == ["bo-best,toy,2,0.500000"]
         assert "seed 1 failed: TypeError: a programming error" in capsys.readouterr().err
 
+    def test_worker_pool_writes_what_one_process_writes(self, tmp_path, capsys):
+        # a GP run (init < budget) in forked workers against the serial path
+        outputs = {}
+        for jobs in ("1", "2"):
+            runs = tmp_path / f"jobs{jobs}"
+            cfg, _ = base_config(
+                tmp_path, name=f"jobs{jobs}.json", method="eo", output_dir=str(runs),
+                budget=6, init=3, ensemble_size=3, algorithms=["knn", "tree"],
+                gp={"burn_in": 2, "gp_samples": 2, "thin": 1},
+                acquisition={"candidates": 50, "refinements": 2},
+            )
+            results = tmp_path / f"results{jobs}.csv"
+            argv = ["batch", "--config", cfg, "--seeds", "1..3", "--results", str(results)]
+            assert cli.main(argv + ["--jobs", jobs]) == 0
+            files = {"results.csv": results.read_bytes()}
+            for path in sorted(runs.rglob("*")):
+                if path.is_file():
+                    data = path.read_bytes()
+                    if path.name == "run.json":
+                        doc = json.loads(data)
+                        doc.pop("created_at")
+                        data = doc
+                    files[str(path.relative_to(runs))] = data
+            outputs[jobs] = files
+        capsys.readouterr()
+        assert outputs["1"].keys() == outputs["2"].keys()
+        assert {f"seed_{s}/run.json" for s in (1, 2, 3)} <= outputs["1"].keys()
+        for name, data in outputs["1"].items():
+            assert data == outputs["2"][name], name
+
     def test_bad_seed_spec_is_usage_error(self, tmp_path, capsys):
         cfg, _ = base_config(tmp_path)
         code = cli.main([

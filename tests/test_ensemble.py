@@ -3,7 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+try:
+    import hypothesis
+    import hypothesis.extra.numpy as hnp
+except ImportError:  # in the test extra; only the vote-scorer properties need it
+    hypothesis = None
+
 from ensopt.ensemble import (
+    LOSSES,
     Ensemble,
     PredictionMatrix,
     greedy_select,
@@ -605,3 +612,78 @@ class TestPredictionMatrixValidation:
         preds = PredictionMatrix(rows, np.array([0, 1, 2]), 3)
         assert np.shares_memory(preds.rows, rows)
         assert rows.flags.writeable  # only the matrix's view is read-only
+
+
+# 257 and 300 labels take uint16 codes; the sample counts lie on both sides
+# of a 64-bit word of the packed votes
+VOTE_N_LABELS = (2, 3, 256, 257, 300)
+VOTE_N_SAMPLES = (1, 63, 64, 65, 129)
+
+
+def draw_vote_case(draw):
+    """A pool with duplicate rows, members, candidates and the arguments of both selections."""
+    st = hypothesis.strategies
+    n_labels = draw(st.sampled_from(VOTE_N_LABELS))
+    n = draw(st.sampled_from(VOTE_N_SAMPLES))
+    # a few codes, always the widest, so that votes tie often
+    palette = draw(st.lists(st.integers(0, n_labels - 1), min_size=1, max_size=3, unique=True))
+    codes = st.sampled_from(sorted(set(palette) | {n_labels - 1}))
+    distinct = draw(hnp.arrays(np.int64, (draw(st.integers(1, 4)), n), elements=codes))
+    # every model repeats one of the distinct rows: exact ties
+    copies = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    labels = draw(hnp.arrays(np.int64, n, elements=codes))
+    preds = PredictionMatrix(distinct[copies], labels, n_labels)
+    ids = st.integers(0, preds.n_models - 1)
+    pool = draw(st.lists(ids, min_size=1, max_size=10))
+    size = draw(st.integers(1, 4))
+    return {
+        "preds": preds,
+        "loss": draw(st.sampled_from(LOSSES)),
+        "members": tuple(draw(st.lists(ids, max_size=5))),
+        "candidates": draw(st.lists(ids, min_size=1, max_size=10)),
+        "pool": pool,
+        "size": size,
+        "warm_k": draw(st.integers(0, min(size, len(set(pool))))),
+        "slots": tuple(draw(st.lists(st.none() | ids, min_size=1, max_size=5))),
+        "slot": draw(st.integers(0, 4)),
+    }
+
+
+def given_vote_cases(test):
+    """Run ``test`` on 150 fixed vote cases; without hypothesis, report it skipped."""
+    if hypothesis is None:
+        return pytest.mark.skip(reason="needs hypothesis")(test)
+    cases = hypothesis.strategies.composite(draw_vote_case)()
+    settings = hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    return settings(hypothesis.given(cases)(test))
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@given_vote_cases
+def test_score_all_equals_oracle_losses(case):
+    preds, members, cands = case["preds"], case["members"], case["candidates"]
+    got = VoteState(preds, members).score_all(cands, case["loss"])
+    loss_fn = LOSS_FNS[case["loss"]]
+    assert hexes(got) == hexes(loss_fn(members + (c,), preds) for c in cands)
+
+
+@given_vote_cases
+def test_greedy_select_equals_brute_force(case):
+    loss = case["loss"]
+    got = greedy_select(case["pool"], case["preds"], case["size"], case["warm_k"], loss)
+    want = scratch_greedy(case["pool"], case["preds"], case["size"], case["warm_k"], LOSS_FNS[loss])
+    assert got.slots == want
+
+
+@given_vote_cases
+def test_round_robin_replace_equals_brute_force(case):
+    ens = Ensemble(case["slots"])
+    slot = case["slot"] % ens.size
+    others = ens.with_slot(slot, None).members()
+    loss_fn = LOSS_FNS[case["loss"]]
+    want = min((loss_fn(others + (h,), case["preds"]), h) for h in set(case["pool"]))[1]
+    out = round_robin_replace(ens, slot, case["pool"], case["preds"], case["loss"])
+    assert out.slots == ens.with_slot(slot, want).slots
