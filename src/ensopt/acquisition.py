@@ -1,7 +1,7 @@
 """Expected-improvement acquisition, averaged over a GP's hyperparameter samples.
 
-``scipy.special`` (for the normal CDF) is imported on the first EI score, so
-a process that proposes no point by EI does not load it.
+The normal CDF ``ndtr`` comes from ``surrogate.scipy_functions``, the one
+loader of the scipy functions a GP needs.
 """
 
 from __future__ import annotations
@@ -10,16 +10,14 @@ import math
 
 import numpy as np
 
-from .surrogate import GpState
+from .surrogate import GpState, scipy_functions
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _ei_batch(means: np.ndarray, variances: np.ndarray, best: float) -> np.ndarray:
     """EI below ``best``; ``variances`` are non-negative, as ``GpState.predict_batch`` gives them."""
-    # a few thousand calls per run, so the import lookup here costs milliseconds
-    from scipy.special import ndtr
-
+    ndtr = scipy_functions()["ndtr"]
     sigma = np.sqrt(variances)
     gap = best - means
     pos = sigma > 0.0

@@ -33,7 +33,7 @@ from .optimizer import (
     select_best,
 )
 from .stats import NEMENYI_Q, RESULT_COLUMNS, Comparison, ResultTable, compare
-from .surrogate import NumericalError
+from .surrogate import NumericalError, scipy_functions
 
 # each method: the engine that runs it and the ``final`` entry it reports
 METHODS = {
@@ -505,13 +505,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
         # numpy imports these on first use, and every run uses both (its split
         # draws from numpy.random, np.unique imports numpy.ma): importing them
         # before the pool forks spares each worker the imports.  A run that
-        # fits a GP also loads scipy's LAPACK wrappers and special functions;
-        # one that does not must not, as forked workers count the parent's pages
-        preload = ["numpy.random", "numpy.ma"]
-        if config.init < config.budget:
-            preload += ["scipy.linalg.lapack", "scipy.special"]
-        for module in preload:
+        # fits a GP also loads the scipy functions it needs; one that does
+        # not must not, as forked workers count the parent's pages
+        for module in ("numpy.random", "numpy.ma"):
             importlib.import_module(module)
+        if config.init < config.budget:
+            scipy_functions()
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_batch_worker, c): c.seed for c in configs}
             for fut in concurrent.futures.as_completed(futures):

@@ -6,16 +6,23 @@ predictions are reported in the original units.  Kernel hyperparameters are
 integrated out approximately by slice sampling their log posterior; one
 ``GpState`` holds the GP under every sample.
 
-scipy's LAPACK wrappers (``dpotrs``, ``dtrtrs``) are imported when a process
-builds its first ``_KernelCache``, on its first slice-sampling call or GP
-fit, so a process that fits no GP never loads ``scipy.linalg``.
+The three scipy functions a GP needs (``dpotrs`` and ``dtrtrs`` for its
+solves, ``ndtr`` for expected improvement) come from ``scipy_functions``,
+which a process first calls on its first slice-sampling call or GP fit, so
+a process that fits no GP loads no compiled scipy module.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from types import ModuleType
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -48,9 +55,66 @@ PREDICT_BLOCK = 1 << 13
 SLICE_WIDTH = 1.0
 SLICE_MAX_STEPS = 100
 
+# The scipy functions a GP needs, by the compiled module that defines them
+# and the public module that re-exports the same objects: (compiled module,
+# public module, names), module paths relative to the scipy package.
+SCIPY_MODULES = (
+    ("linalg._flapack", "linalg.lapack", ("dpotrs", "dtrtrs")),
+    ("special._special_ufuncs", "special", ("ndtr",)),
+)
+
 
 class NumericalError(RuntimeError):
     """Raised when a covariance matrix cannot be factorized even with jitter."""
+
+
+@functools.cache
+def scipy_functions() -> dict[str, Callable]:
+    """``dpotrs``, ``dtrtrs`` and ``ndtr`` by name, loaded once per process.
+
+    Each comes from the compiled module in ``SCIPY_MODULES`` that defines
+    it, loaded from its file, so the ``scipy.linalg`` and ``scipy.special``
+    package ``__init__``s never run: they would add about 21 MB and 0.2 s
+    to the process.  The public modules re-export these very
+    objects, so the results do not depend on the route.  Where a module
+    file or a name is missing, as in a scipy release laid out otherwise,
+    the public module supplies the names.
+    """
+    functions = {}
+    for compiled, public, names in SCIPY_MODULES:
+        module = _load_compiled(compiled)
+        if module is None or not all(hasattr(module, name) for name in names):
+            module = importlib.import_module(f"scipy.{public}")
+        functions.update((name, getattr(module, name)) for name in names)
+    return functions
+
+
+def _load_compiled(name: str) -> ModuleType | None:
+    """scipy's module ``name`` loaded from its file without its packages, or ``None``.
+
+    The file is found by the path-based finder in the package's directories
+    under ``scipy.__path__``: ``importlib.util.find_spec`` would import the
+    package first.  The module is registered under its dotted name, so a
+    later import of the package reuses it.
+    """
+    import scipy
+
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    package = name.rpartition(".")[0].split(".")
+    path = [os.path.join(root, *package) for root in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(full, path)
+    if spec is None or spec.loader is None:
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(full, None)
+        return None
+    return module
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,11 +303,10 @@ class _KernelCache:
     """
 
     def __init__(self, obs: ObservationSet):
-        # bound once per cache: an import per likelihood evaluation would cost
-        # about 1 us each, tens of thousands of times per run
-        from scipy.linalg.lapack import dpotrs, dtrtrs
-
-        self.dpotrs, self.dtrtrs = dpotrs, dtrtrs
+        # bound once per cache: a lookup per likelihood evaluation would run
+        # tens of thousands of times per run
+        functions = scipy_functions()
+        self.dpotrs, self.dtrtrs = functions["dpotrs"], functions["dtrtrs"]
         self.sq = _sq_diffs(obs.inputs, obs.inputs)  # (t, t, d)
         self.y = obs.targets
         # the Matern shape of the last lengthscales, the kernel of the last amplitude

@@ -192,14 +192,17 @@ def test_package_loads_no_scipy_stats():
     assert run_fresh(code).strip() == "[]"
 
 
-# prints "scipy <step> <linalg or -> <special or ->": which of scipy's
-# compiled modules the process has loaded after a step
+# prints "scipy <step>" and, for each of scipy's two compiled modules that a
+# GP needs and the two packages that hold them, its name if the process has
+# loaded it after the step, or "-"
 LOADED = """
 import sys
 def loaded(step):
-    linalg, special = ("scipy." + m in sys.modules for m in ("linalg", "special"))
-    print("scipy", step, "linalg" if linalg else "-", "special" if special else "-")
+    names = ("linalg._flapack", "special._special_ufuncs", "linalg", "special")
+    print("scipy", step, *(n if "scipy." + n in sys.modules else "-" for n in names))
 """
+COMPILED = "linalg._flapack special._special_ufuncs - -"
+ALL_FOUR = "linalg._flapack special._special_ufuncs linalg special"
 
 
 def loaded_lines(out: str) -> list[str]:
@@ -207,7 +210,7 @@ def loaded_lines(out: str) -> list[str]:
 
 
 def test_post_and_random_runs_load_no_compiled_scipy(tmp_path):
-    """Only a GP fit or a test statistic needs ``scipy.linalg`` or ``scipy.special``."""
+    """Only a GP fit or a test statistic needs a compiled scipy module."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "method": "bo-best", "dataset": os.path.join(DATA, "toy.csv"), "label_col": "label",
@@ -223,7 +226,7 @@ assert ensopt.cli.main(["run", "--config", sys.argv[2]]) == 0
 loaded("run")
 """
     out = run_fresh(code, os.path.join(DATA, "artifact"), str(config))
-    assert loaded_lines(out) == ["import - -", "post - -", "run - -"]
+    assert loaded_lines(out) == ["import - - - -", "post - - - -", "run - - - -"]
 
 
 # a batch whose pool runs no task and prints which of scipy's compiled
@@ -248,7 +251,7 @@ assert ensopt.cli.main(argv) == 0
 """
 
 
-@pytest.mark.parametrize("init, fork", [(3, "fork linalg special"), (4, "fork - -")])
+@pytest.mark.parametrize("init, fork", [(3, f"fork {COMPILED}"), (4, "fork - - - -")])
 def test_a_gp_batch_loads_scipy_once_before_its_workers_fork(tmp_path, init, fork):
     """Workers share the batch's scipy pages; a batch without a GP loads none."""
     config = tmp_path / "config.json"
@@ -276,20 +279,70 @@ obs = ObservationSet(rng.random((8, 3)), rng.normal(size=8))
 )
 
 
-def test_a_cold_gp_loads_scipy_on_first_use_with_the_same_bits():
-    """The LAPACK wrappers and ``ndtr``, imported on first use, give the in-process bits."""
-    code = LOADED + "".join(f"{body}\nloaded({name!r})\n" for name, body in GP_STEPS)
+# runs GP_STEPS in a new interpreter after ``prelude`` and prints the
+# loaded lines, then the samples' and the point's bytes in hex
+def run_gp_steps(prelude: str) -> tuple[list[str], bytes, bytes]:
+    code = LOADED + prelude + "\n"
+    code += "".join(f"{body}\nloaded({name!r})\n" for name, body in GP_STEPS)
     code += "print(np.array([h.as_list() for h in samples]).tobytes().hex())\n"
     code += "print(point.tobytes().hex())\n"
     *out, sample_hex, point_hex = run_fresh(code).splitlines()
-    assert loaded_lines("\n".join(out)) == [
-        "import - -",
-        "slice linalg -",
-        "fit linalg -",
-        "next_point linalg special",
-    ]
+    return loaded_lines("\n".join(out)), bytes.fromhex(sample_hex), bytes.fromhex(point_hex)
+
+
+def in_process_gp_bytes() -> tuple[bytes, bytes]:
     here: dict = {}
     exec("\n".join(body for _, body in GP_STEPS), here)
-    samples = np.array([h.as_list() for h in here["samples"]])
-    assert bytes.fromhex(sample_hex) == samples.tobytes()
-    assert bytes.fromhex(point_hex) == here["point"].tobytes()
+    return np.array([h.as_list() for h in here["samples"]]).tobytes(), here["point"].tobytes()
+
+
+def test_a_cold_gp_loads_scipy_on_first_use_with_the_same_bits():
+    """A GP loads two compiled modules, not their packages, and gives the bits of a
+    process that imported the public ``scipy.linalg.lapack`` and ``scipy.special`` first."""
+    lines, samples, point = run_gp_steps("")
+    assert lines == [
+        "import - - - -",
+        f"slice {COMPILED}",
+        f"fit {COMPILED}",
+        f"next_point {COMPILED}",
+    ]
+    public_lines, *public_bytes = run_gp_steps("import scipy.linalg.lapack, scipy.special")
+    assert public_lines == [f"{name} {ALL_FOUR}" for name, _ in GP_STEPS]
+    assert [samples, point] == public_bytes
+    assert (samples, point) == in_process_gp_bytes()
+
+
+@pytest.mark.parametrize(
+    "miss",
+    ["lambda name: None", "lambda name: types.ModuleType(name)"],
+    ids=["no_file", "no_names"],
+)
+def test_a_gp_falls_back_to_the_public_modules_with_the_same_bits(miss):
+    """Where the compiled module or a name in it is missing, the packages supply them."""
+    prelude = f"import types, ensopt.surrogate\nensopt.surrogate._load_compiled = {miss}"
+    lines, samples, point = run_gp_steps(prelude)
+    assert lines == ["import - - - -"] + [f"{name} {ALL_FOUR}" for name, _ in GP_STEPS[1:]]
+    assert (samples, point) == in_process_gp_bytes()
+
+
+def test_public_scipy_works_after_the_compiled_modules_are_loaded():
+    """Importing a package later reuses the loaded module: its functions are the loaded ones."""
+    code = """
+import sys
+import numpy as np
+from ensopt.surrogate import scipy_functions
+functions = scipy_functions()
+import scipy.linalg, scipy.linalg.lapack, scipy.optimize, scipy.special, scipy.stats
+assert scipy.linalg.lapack.dpotrs is functions["dpotrs"]
+assert scipy.linalg.lapack.dtrtrs is functions["dtrtrs"]
+assert scipy.special.ndtr is functions["ndtr"]
+assert scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"]
+A = np.array([[4.0, 1.0], [1.0, 3.0]])
+x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), np.array([1.0, 2.0]))
+assert np.allclose(A @ x, [1.0, 2.0])
+assert scipy.stats.norm.cdf(0.5) == scipy.special.ndtr(0.5)
+fit = scipy.optimize.minimize(lambda v: ((v - 1.5) ** 2).sum(), np.zeros(2), method="L-BFGS-B")
+assert fit.success and np.allclose(fit.x, 1.5)
+print("ok")
+"""
+    assert run_fresh(code).strip() == "ok"

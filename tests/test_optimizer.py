@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import tempfile
 import weakref
 
 import numpy as np
@@ -35,6 +36,12 @@ from ensopt.optimizer import (
     select_best,
 )
 from ensopt.surrogate import NumericalError
+
+try:
+    import hypothesis
+    import hypothesis.extra.numpy as hnp
+except ImportError:  # in the test extra; only the codec property needs it
+    hypothesis = None
 
 UNIT = SearchSpace((ParamSpec("u", "continuous", 0.0, 1.0),))
 
@@ -114,6 +121,45 @@ def assert_same_outcome(got, want, dtype=None):
         assert got.dtype == (want.dtype if dtype is None else dtype)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+
+def draw_code_rows(draw):
+    """Integer rows of one-digit or wider codes, down to 0 rows or 1 column."""
+    st = hypothesis.strategies
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint8]))
+    # the largest code: one digit, or just past it, or wider
+    top = draw(st.sampled_from([9, 10, 11, 99, 100, 255 if dtype is np.uint8 else 300]))
+    low = 0 if dtype is np.uint8 or draw(st.booleans()) else -3
+    shape = (draw(st.integers(0, 6)), draw(st.integers(1, 6)))
+    rows = draw(hnp.arrays(dtype, shape, elements=st.integers(low, top)))
+    # labels are written as one 1-d row
+    return rows[0] if shape[0] == 1 and draw(st.booleans()) else rows
+
+
+def given_code_rows(test):
+    """Run ``test`` on 200 fixed row matrices; without hypothesis, report it skipped."""
+    if hypothesis is None:
+        return pytest.mark.skip(reason="needs hypothesis")(test)
+    cases = hypothesis.strategies.composite(draw_code_rows)()
+    settings = hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    return settings(hypothesis.given(cases)(test))
+
+
+@given_code_rows
+def test_int_rows_round_trip_equals_text_codec(rows):
+    """The same file bytes, and the same values read back; one-digit files as uint8."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, text = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "text.csv")
+        _write_int_rows(fast, rows)
+        text_write_int_rows(text, rows)
+        with open(fast, "rb") as a, open(text, "rb") as b:
+            assert a.read() == b.read()
+        one_digit = rows.size > 0 and rows.min() >= 0 and rows.max() <= 9
+        assert_same_outcome(
+            read_outcome(_read_int_rows, fast),
+            read_outcome(text_read_int_rows, text),
+            np.uint8 if one_digit else None,
+        )
 
 
 class RowStub:

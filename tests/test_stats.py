@@ -20,6 +20,11 @@ from ensopt.stats import (
 )
 from oracles import exact_two_sided
 
+try:
+    import hypothesis
+except ImportError:  # in the test extra; only the exact-count property needs it
+    hypothesis = None
+
 
 def table_of(errors) -> ResultTable:
     """A [method, dataset] matrix as a one-repetition results table."""
@@ -193,6 +198,33 @@ class TestWilcoxon:
             wilcoxon_signed_rank([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([[1.0]], [[1.0]])
+
+
+def draw_signed_ranks(draw):
+    """Mid ranks of up to 14 magnitudes, often tied, and an observed statistic."""
+    st = hypothesis.strategies
+    n = draw(st.integers(1, 14))
+    # few distinct magnitudes make long runs of ties
+    magnitudes = draw(st.lists(st.integers(1, draw(st.integers(1, 2 * n))), min_size=n, max_size=n))
+    ranks = np.array(oracle_midranks([float(v) for v in magnitudes]))
+    signs = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    w_plus = float(ranks[signs].sum())
+    return ranks, min(w_plus, float(ranks.sum()) - w_plus)
+
+
+def given_signed_ranks(test):
+    """Run ``test`` on 300 fixed rank vectors; without hypothesis, report it skipped."""
+    if hypothesis is None:
+        return pytest.mark.skip(reason="needs hypothesis")(test)
+    cases = hypothesis.strategies.composite(draw_signed_ranks)()
+    settings = hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    return settings(hypothesis.given(cases)(test))
+
+
+@given_signed_ranks
+def test_exact_count_equals_enumeration_on_tied_ranks(case):
+    ranks, t_observed = case
+    assert _exact_two_sided(ranks, t_observed).hex() == exact_two_sided(ranks, t_observed).hex()
 
 
 class TestFriedman:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ from oracles import (
     matern52,
     predict_one,
 )
+
+try:
+    import hypothesis
+    import hypothesis.extra.numpy as hnp
+except ImportError:  # in the test extra; only the prediction property needs it
+    hypothesis = None
 
 
 def oracle_kernel(a, b, hypers):
@@ -289,6 +296,65 @@ class TestSampleAxis:
             rows = [single.predict_batch(X) for single in singles]
             assert got[0][0] == np.concatenate([r[0] for r in rows]).tobytes()
             assert got[0][1] == np.concatenate([r[1] for r in rows]).tobytes()
+
+
+def draw_prediction_case(draw):
+    """Observations, hyperparameter samples, query rows and a prediction block size."""
+    st = hypothesis.strategies
+    t, d = draw(st.integers(1, 60)), draw(st.integers(1, 3))
+    count, m = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    unit = st.floats(0.0, 1.0, allow_subnormal=False)
+    inputs = draw(hnp.arrays(float, (t, d), elements=unit))
+    targets = draw(hnp.arrays(float, t, elements=st.floats(-3.0, 3.0, allow_subnormal=False)))
+    queries = draw(hnp.arrays(float, (m, d), elements=unit))
+    # some queries sit on observed inputs, where the variance is about the noise
+    for i in range(m):
+        if draw(st.booleans()):
+            queries[i] = inputs[draw(st.integers(0, t - 1))]
+    samples = [
+        GpHyperparams(
+            draw(st.floats(0.3, 3.0)),
+            draw(hnp.arrays(float, d, elements=st.floats(0.05, 2.0))),
+            draw(st.floats(1e-6, 0.05)),
+        )
+        for _ in range(count)
+    ]
+    # from one sample-row per block up to one block for everything
+    block = draw(st.integers(1, count * t * m))
+    return ObservationSet(inputs, targets), samples, queries, block
+
+
+def given_prediction_cases(test):
+    """Run ``test`` on 120 fixed GP cases; without hypothesis, report it skipped."""
+    if hypothesis is None:
+        return pytest.mark.skip(reason="needs hypothesis")(test)
+    cases = hypothesis.strategies.composite(draw_prediction_case)()
+    settings = hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    return settings(hypothesis.given(cases)(test))
+
+
+@given_prediction_cases
+def test_sample_batch_predicts_what_one_sample_states_predict(case):
+    """Sample s of an S-sample state is the one-sample state of s, bit for bit.
+
+    Row by row it is ``predict_one``.  A row's bits can depend on the other
+    rows of the call (numpy picks a different BLAS product for another row
+    count), so the m-row batch is compared with the one-sample states'
+    m-row batches.
+    """
+    obs, samples, queries, block = case
+    gp = fit(obs, samples)
+    singles = [fit(obs, [h]) for h in samples]
+    with mock.patch.object(surrogate, "PREDICT_BLOCK", block):
+        means, variances = gp.predict_batch(queries)
+        rows = [gp.predict_batch(x[None, :]) for x in queries]
+    want = np.array([[predict_one(single, x) for single in singles] for x in queries])
+    for (mean, var), (want_mean, want_var) in zip(rows, want.transpose(0, 2, 1)):
+        assert mean[:, 0].tobytes() == want_mean.tobytes()
+        assert var[:, 0].tobytes() == want_var.tobytes()
+    batches = [single.predict_batch(queries) for single in singles]
+    assert means.tobytes() == np.concatenate([b[0] for b in batches]).tobytes()
+    assert variances.tobytes() == np.concatenate([b[1] for b in batches]).tobytes()
 
 
 class TestLogMarginalLikelihood:
