@@ -10,12 +10,23 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 KINDS = ("continuous", "log-continuous", "integer", "categorical")
+
+
+def _finite_real(value: Any) -> bool:
+    """Whether ``value`` is a real number, not a bool, that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,11 @@ class ParamSpec:
         else:
             if self.lower is None or self.upper is None:
                 raise ValueError(f"parameter {self.name!r}: bounds are required")
+            for bound in (self.lower, self.upper):
+                if not _finite_real(bound):
+                    raise ValueError(
+                        f"parameter {self.name!r}: bounds must be finite numbers, got {bound!r}"
+                    )
             if not float(self.lower) < float(self.upper):
                 raise ValueError(f"parameter {self.name!r}: lower must be < upper")
             if self.kind == "log-continuous" and float(self.lower) <= 0.0:

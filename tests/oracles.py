@@ -185,20 +185,23 @@ def train_linear(C: float, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def predict_knn(params: dict[str, Any], X: np.ndarray) -> np.ndarray:
-    """kNN vote over a full stable sort of each row's distances."""
+    """kNN vote over a full stable sort of each row's distances.
+
+    Each query row's distances come from one matrix-vector product against
+    the distinct training rows, which repeated training rows share.
+    """
     Xs = (X - params["mean"]) / params["sd"]
-    train_x = params["train_x"]
-    d2 = (
-        np.sum(Xs * Xs, axis=1)[:, None]
-        + np.sum(train_x * train_x, axis=1)[None, :]
-        - 2.0 * (Xs @ train_x.T)
-    )
-    # stable sort keeps equidistant neighbours in training order
-    order = np.argsort(d2, axis=1, kind="stable")[:, : params["k"]]
-    votes = params["train_y"][order]
+    distinct = params["train_x"]
+    index = params.get("train_index", np.arange(distinct.shape[0]))
+    x_sq = np.sum(Xs * Xs, axis=1)
+    train_sq = np.sum(distinct * distinct, axis=1)
     out = np.empty(X.shape[0], dtype=np.int64)
     for i in range(X.shape[0]):
-        out[i] = np.argmax(np.bincount(votes[i], minlength=params["n_labels"]))
+        d2 = ((x_sq[i] + train_sq) - 2.0 * (distinct @ Xs[i]))[index]
+        # stable sort keeps equidistant neighbours in training order
+        order = np.argsort(d2, kind="stable")[: params["k"]]
+        votes = np.bincount(params["train_y"][order], minlength=params["n_labels"])
+        out[i] = np.argmax(votes)
     return out
 
 

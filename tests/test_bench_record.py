@@ -73,6 +73,30 @@ def test_summary_counts_wins_by_direction():
     assert summary["metrics"]["wall_s"]["parent"]["median"] == 2.25
 
 
+def test_summary_gives_quartiles_of_the_per_pair_ratio():
+    def run(pair, side, wall):
+        return {
+            "workload": "w", "pair": pair, "side": side, "digest": "digest w sha256=a",
+            "result": {"metrics": {"wall_s": {"value": wall}}},
+        }
+
+    # change/parent ratios 0.5, 0.8, 1.0, 1.1 and 2.0
+    walls = [(2.0, 1.0), (5.0, 4.0), (3.0, 3.0), (10.0, 11.0), (1.0, 2.0)]
+    runs = [
+        run(i, side, wall)
+        for i, pair in enumerate(walls)
+        for side, wall in zip(bench_record.SIDES, pair)
+    ]
+    metric = bench_record.summarize(runs, {"wall_s": "lower"})["w"]["metrics"]["wall_s"]
+    assert metric["ratio"]["n"] == 5
+    assert metric["ratio"]["median"] == 1.0
+    assert metric["ratio"]["q1"] == pytest.approx(0.65)
+    assert metric["ratio"]["q3"] == pytest.approx(1.55)
+    # the per-side fields stay as they were
+    assert metric["parent"] == {"median": 3.0, "q1": 1.5, "q3": 7.5, "n": 5}
+    assert metric["change_wins"] == 2
+
+
 def test_seeds_take_the_cli_parser():
     def seeds(text):
         return bench_record.parse_args(["--parent", "HEAD", "--out", "x", "--seeds", text]).seeds

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ensopt import cli
+from ensopt import data as data_module
 from ensopt.artifact import load_artifact, save_artifact
 from ensopt.data import DataError
 from ensopt.ensemble import zero_one_ensemble_loss
@@ -328,6 +329,34 @@ class TestRunCommand:
         assert cli.main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+        assert not os.path.exists(doc["output_dir"])
+
+    @pytest.mark.parametrize(
+        "algorithm, param",
+        [
+            ("linear", '{"name": "C", "kind": "log-continuous", "lower": "1e-5", "upper": 1e5}'),
+            ("knn", '{"name": "n_neighbors", "kind": "integer", "lower": 1, "upper": 1e400}'),
+            ("linear", '{"name": "C", "kind": "log-continuous", "lower": 1e-5, "upper": Infinity}'),
+        ],
+        ids=["string-lower", "integer-upper-overflows", "infinite-upper"],
+    )
+    def test_bound_that_is_no_finite_number_fails_before_training(
+        self, tmp_path, capsys, monkeypatch, algorithm, param
+    ):
+        # these ended in a TypeError or OverflowError traceback, or ran to exit 0
+        # with "C": Infinity recorded for every model
+        space = tmp_path / "space.json"
+        space.write_text(f'{{"params": [{param}]}}', encoding="utf-8")
+        cfg, doc = base_config(tmp_path, algorithms=[algorithm], space=str(space))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the space must be rejected before any training")
+
+        monkeypatch.setattr(data_module, "train", no_training)
+        assert cli.main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"space file {space} is malformed" in err and "finite numbers" in err
         assert "Traceback" not in err
         assert not os.path.exists(doc["output_dir"])
 

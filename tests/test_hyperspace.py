@@ -136,6 +136,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             ParamSpec("a", "log-continuous", -1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "kind, lower, upper",
+        [
+            ("log-continuous", "1e-5", 1.0),
+            ("integer", True, 3),
+            ("integer", 1, float("inf")),
+            ("integer", 1, 10**400),
+            ("continuous", float("nan"), 1.0),
+        ],
+        ids=["string", "bool", "infinite", "int-beyond-float", "nan"],
+    )
+    def test_bounds_must_be_finite_numbers(self, kind, lower, upper):
+        with pytest.raises(ValueError, match="bounds must be finite numbers"):
+            ParamSpec("a", kind, lower, upper)
+
     def test_bad_categories(self):
         with pytest.raises(ValueError):
             ParamSpec("a", "categorical", categories=())

@@ -23,7 +23,7 @@ from oracles import predict_knn, train_linear
 try:
     import hypothesis
     import hypothesis.extra.numpy as hnp
-except ImportError:  # in the test extra; only the kNN property needs it
+except ImportError:  # in the test extra; only the properties need it
     hypothesis = None
 
 
@@ -169,6 +169,20 @@ class TestKnn:
             tracemalloc.stop()
         assert peak < 1.5 * 1500 * 1500 * 8
 
+    def test_prediction_holds_no_query_by_training_matrix(self):
+        # 1980 x 4020 float64 distances would take 63.7 MB
+        rng = np.random.default_rng(4)
+        data = Dataset(rng.normal(size=(4020, 2)), rng.integers(0, 2, size=4020), ("a", "b"))
+        model = train("knn", Config({"n_neighbors": 5}), [data])[0]
+        queries = rng.normal(size=(1980, 2))
+        tracemalloc.start()
+        try:
+            predict(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 class TestKnnMatchesStableSort:
     """Predictions equal those of a full stable sort of every distance row."""
@@ -225,13 +239,50 @@ def draw_knn_case(draw):
     return Dataset(features, labels, tuple("abcd"[:n_labels])), queries, k, block
 
 
-def given_knn_cases(test):
-    """Run ``test`` on 300 fixed kNN cases; without hypothesis, report it skipped."""
-    if hypothesis is None:
-        return pytest.mark.skip(reason="needs hypothesis")(test)
-    cases = hypothesis.strategies.composite(draw_knn_case)()
-    settings = hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-    return settings(hypothesis.given(cases)(test))
+def draw_wide_knn_case(draw):
+    """Up to 16 features, training rows drawn from fewer distinct rows, queries at or near them.
+
+    Values come from a drawn seed: in wide rows of generic floats one product
+    over many query rows can round a row differently from the row alone.
+    """
+    st = hypothesis.strategies
+    n, d, m = draw(st.integers(2, 40)), draw(st.integers(1, 16)), draw(st.integers(0, 30))
+    n_distinct, n_labels = draw(st.integers(1, n)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # coarse integer features make distinct rows at equal distances
+        distinct = rng.integers(-1, 3, size=(n_distinct, d)).astype(float)
+    else:
+        distinct = rng.uniform(-4.0, 4.0, size=(n_distinct, d))
+    features = distinct[rng.integers(0, n_distinct, size=n)]
+    labels = rng.integers(0, n_labels, size=n)
+    labels[:2] = [0, 1]
+    scale = draw(st.sampled_from([0.0, 1e-2, 1.0]))
+    queries = features[rng.integers(0, n, size=m)] + rng.normal(0.0, scale, size=(m, d))
+    k = draw(st.integers(1, n))
+    block = draw(st.integers(1, (m + 1) * n))
+    return Dataset(features, labels, tuple("abcd"[:n_labels])), queries, k, block
+
+
+def given_cases(draw_case, max_examples):
+    """Run a test on ``max_examples`` fixed cases drawn by ``draw_case``.
+
+    Without hypothesis the test is reported as skipped.
+    """
+
+    def decorate(test):
+        if hypothesis is None:
+            return pytest.mark.skip(reason="needs hypothesis")(test)
+        cases = hypothesis.strategies.composite(draw_case)()
+        settings = hypothesis.settings(
+            max_examples=max_examples, deadline=None, derandomize=True
+        )
+        return settings(hypothesis.given(cases)(test))
+
+    return decorate
+
+
+given_knn_cases = given_cases(draw_knn_case, 300)
 
 
 @given_knn_cases
@@ -242,6 +293,29 @@ def test_knn_in_row_blocks_equals_stable_sort(case):
         got = predict(model, queries)
     want = predict_knn(model.params, queries)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given_cases(draw_wide_knn_case, 300)
+def test_knn_query_predicted_alone_as_in_its_batch(case):
+    data, queries, k, block = case
+    model = train("knn", Config({"n_neighbors": k}), [data])[0]
+    with mock.patch.object(learners, "KNN_BLOCK", block):
+        batch = predict(model, queries)
+        alone = [predict(model, queries[i : i + 1]) for i in range(len(queries))]
+    assert batch.tobytes() == np.concatenate([batch[:0], *alone]).tobytes()
+    assert batch.tobytes() == predict_knn(model.params, queries).tobytes()
+
+
+@given_cases(draw_wide_knn_case, 300)
+def test_knn_keeps_distinct_rows_in_training_order(case):
+    data = case[0]
+    params = train("knn", Config({"n_neighbors": 1}), [data])[0].params
+    distinct = params["train_x"]
+    index = params.get("train_index", np.arange(data.n_samples))
+    assert np.unique(distinct, axis=0).shape == distinct.shape
+    np.testing.assert_array_equal(distinct[index], (data.features - params["mean"]) / params["sd"])
+    groups, first = np.unique(index, return_index=True)
+    assert np.array_equal(groups, np.arange(len(distinct))) and np.all(np.diff(first) > 0)
 
 
 TREE_CFG = {"max_depth": 5, "min_samples_split": 2, "min_samples_leaf": 1}
@@ -457,6 +531,37 @@ class TestLinearStackMatchesOneDatasetAtATime:
             assert model.params["weights"].tobytes() == weights.tobytes()
             assert model.params["biases"].tobytes() == biases.tobytes()
             np.testing.assert_array_equal(model.params["classes"], np.unique(data.labels))
+
+
+def draw_linear_case(draw):
+    """C from 1e-6 to 1e5 and up to four datasets: live, single-class, or with absent codes."""
+    st = hypothesis.strategies
+    C = 10.0 ** draw(st.floats(-6.0, 5.0))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    datasets = []
+    for _ in range(draw(st.integers(1, 4))):
+        codes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+        n = draw(st.integers(len(codes), 40))
+        labels = np.array(codes)[rng.integers(0, len(codes), size=n)]
+        labels[: len(codes)] = codes
+        features = rng.normal(size=(n, d)) * rng.uniform(0.5, 4.0, size=d)
+        datasets.append(Dataset(features, labels, ("a", "b", "c", "d")))
+    return C, datasets
+
+
+@given_cases(draw_linear_case, 60)
+def test_linear_stack_equals_oracle_on_every_dataset(case):
+    C, datasets = case
+    models = train("linear", Config({"C": C}), datasets)
+    for data, model in zip(datasets, models):
+        assert model.degenerate == (np.unique(data.labels).size == 1)
+        if model.degenerate:
+            continue
+        weights, biases = train_linear(C, data)
+        # small C makes the weight decay diverge, so NaN bits must match too
+        assert model.params["weights"].tobytes() == weights.tobytes()
+        assert model.params["biases"].tobytes() == biases.tobytes()
 
 
 def assert_same_params(a, b) -> None:

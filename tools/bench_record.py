@@ -12,8 +12,9 @@ goes first alternates from one pair to the next.  The parent is exported with
 removed afterwards.  Each run's seed, order, version and environment lines,
 ``digest`` line and final JSON line go into the ``--out`` file together with
 a summary per workload: each side's median and quartiles of every
-end-to-end metric, the pairs the change won on it, and whether the digests
-matched on every seed.
+end-to-end metric, the median and quartiles of its per-pair change/parent
+ratio (``ratio``, over the pairs whose parent value is not zero), the pairs
+the change won on it, and whether the digests matched on every seed.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def _quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(runs: list[dict[str, Any]], better: dict[str, str]) -> dict[str, Any]:
-    """Per workload: each side's quartiles per metric, pairs won, digest agreement."""
+    """Per workload: each side's and the per-pair ratio's quartiles per metric, pairs won,
+    digest agreement."""
     summary: dict[str, Any] = {}
     for workload in sorted({r["workload"] for r in runs}):
         pairs: dict[int, dict[str, dict[str, Any]]] = {}
@@ -108,8 +110,11 @@ def summarize(runs: list[dict[str, Any]], better: dict[str, str]) -> dict[str, A
             }
             sign = 1.0 if direction == "lower" else -1.0
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+            # a pair's ratio cancels what the host's speed did to both of its runs
+            ratios = [c / p for p, c in zip(values["parent"], values["change"]) if p]
             entry["metrics"][name] = {
                 **{side: _quartiles(values[side]) for side in SIDES},
+                "ratio": _quartiles(ratios) if ratios else None,
                 "change_wins": wins,
             }
         summary[workload] = entry
